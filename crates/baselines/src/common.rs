@@ -116,52 +116,52 @@ impl FlatHeap {
 /// The flat heaps of a completed run are unreachable once `run` has returned, but
 /// stale `ObjPtr`s in that run's Rust locals resolved through forwarding until then —
 /// so disposal (retire + reclaim into the store's free lists) happens at the *next*
-/// run start, and only once no other run is active. This mirrors `HhRuntime`'s reuse
-/// horizon; see DESIGN.md §5.
+/// run start, and only once no other run is active — the quiescent reuse horizon
+/// (`HhRuntime` instead disposes each run's tree at its own end; see DESIGN.md §5).
 #[derive(Default)]
-pub struct RunEpoch {
-    state: Mutex<EpochState>,
+pub struct QuiescentHorizon {
+    state: Mutex<HorizonState>,
 }
 
 #[derive(Default)]
-struct EpochState {
+struct HorizonState {
     /// Number of `run` calls currently executing.
     active: usize,
     /// True once at least one run has completed since the last disposal.
     completed: bool,
 }
 
-impl RunEpoch {
+impl QuiescentHorizon {
     /// Creates the bookkeeping for a freshly constructed runtime.
-    pub fn new() -> RunEpoch {
-        RunEpoch::default()
+    pub fn new() -> QuiescentHorizon {
+        QuiescentHorizon::default()
     }
 
     /// Marks a run as starting. If no other run is active and a previous run has
     /// completed, `dispose` runs first — the runtime retires its heaps' chunks and
     /// reclaims the store's quarantine there. The returned guard marks the run as
-    /// completed when dropped, so a panicking run closure cannot leave the epoch
+    /// completed when dropped, so a panicking run closure cannot leave the run
     /// permanently active (which would disable recycling for good).
     #[must_use = "dropping the guard ends the run"]
-    pub fn begin(&self, dispose: impl FnOnce()) -> RunEpochGuard<'_> {
+    pub fn begin(&self, dispose: impl FnOnce()) -> QuiescentHorizonGuard<'_> {
         let mut st = self.state.lock();
         if st.active == 0 && st.completed {
             dispose();
             st.completed = false;
         }
         st.active += 1;
-        RunEpochGuard { epoch: self }
+        QuiescentHorizonGuard { horizon: self }
     }
 }
 
-/// Ends a run on drop; see [`RunEpoch::begin`].
-pub struct RunEpochGuard<'a> {
-    epoch: &'a RunEpoch,
+/// Ends a run on drop; see [`QuiescentHorizon::begin`].
+pub struct QuiescentHorizonGuard<'a> {
+    horizon: &'a QuiescentHorizon,
 }
 
-impl Drop for RunEpochGuard<'_> {
+impl Drop for QuiescentHorizonGuard<'_> {
     fn drop(&mut self) {
-        let mut st = self.epoch.state.lock();
+        let mut st = self.horizon.state.lock();
         st.active -= 1;
         st.completed = true;
     }

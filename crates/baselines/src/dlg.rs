@@ -17,7 +17,7 @@
 //!   baseline exists for; the paper does not report Manticore GC percentages either).
 
 use crate::common::{
-    par_semispace_collect, resolve_tracked, FlatHeap, RootRegistry, RunEpoch, OWNER_GLOBAL,
+    par_semispace_collect, resolve_tracked, FlatHeap, QuiescentHorizon, RootRegistry, OWNER_GLOBAL,
 };
 use crate::counters::Counters;
 use hh_api::{ParCtx, RunStats, Runtime};
@@ -36,7 +36,7 @@ pub(crate) struct DlgInner {
     pub(crate) safepoints: Arc<Safepoints>,
     pub(crate) pool: Pool,
     pub(crate) counters: Counters,
-    pub(crate) epoch: RunEpoch,
+    pub(crate) horizon: QuiescentHorizon,
     pub(crate) promote_lock: Mutex<()>,
     pub(crate) gc_threshold_words: usize,
     pub(crate) chunk_words: usize,
@@ -91,7 +91,7 @@ impl DlgRuntime {
                 safepoints,
                 pool,
                 counters: Counters::default(),
-                epoch: RunEpoch::new(),
+                horizon: QuiescentHorizon::new(),
                 promote_lock: Mutex::new(()),
                 gc_threshold_words,
                 chunk_words,
@@ -465,9 +465,9 @@ impl Runtime for DlgRuntime {
         F: FnOnce(&Self::Ctx) -> R + Send,
     {
         // Completed runs' memory is disposed of and recycled here, at the reuse
-        // horizon (see `RunEpoch`); the guard ends the run even if `f` panics out
+        // horizon (see `QuiescentHorizon`); the guard ends the run even if `f` panics out
         // through `Pool::run`.
-        let _epoch = self.inner.epoch.begin(|| {
+        let _run = self.inner.horizon.begin(|| {
             self.inner.global.dispose();
             for local in &self.inner.locals {
                 local.dispose();

@@ -5,7 +5,7 @@
 //! heap exceeds its threshold. Benchmark times measured on this runtime are the `T_s`
 //! baseline against which the parallel runtimes' overhead and speedup are computed.
 
-use crate::common::{resolve_tracked, semispace_collect, FlatHeap, RootRegistry, RunEpoch};
+use crate::common::{resolve_tracked, semispace_collect, FlatHeap, QuiescentHorizon, RootRegistry};
 use crate::counters::Counters;
 use hh_api::{ParCtx, RunStats, Runtime};
 use hh_objmodel::{ChunkStore, Header, ObjKind, ObjPtr};
@@ -22,7 +22,7 @@ struct SeqInner {
     heap: FlatHeap,
     roots: RootRegistry,
     counters: Counters,
-    epoch: RunEpoch,
+    horizon: QuiescentHorizon,
     gc_threshold_words: usize,
     chunk_words: usize,
     enable_gc: bool,
@@ -53,7 +53,7 @@ impl SeqRuntime {
                 heap,
                 roots: RootRegistry::new(),
                 counters: Counters::default(),
-                epoch: RunEpoch::new(),
+                horizon: QuiescentHorizon::new(),
                 gc_threshold_words,
                 chunk_words,
                 enable_gc,
@@ -271,8 +271,8 @@ impl Runtime for SeqRuntime {
         F: FnOnce(&Self::Ctx) -> R + Send,
     {
         // Completed runs' memory is disposed of and recycled here, at the reuse
-        // horizon (see `RunEpoch`); the guard ends the run even if `f` panics.
-        let _epoch = self.inner.epoch.begin(|| {
+        // horizon (see `QuiescentHorizon`); the guard ends the run even if `f` panics.
+        let _run = self.inner.horizon.begin(|| {
             self.inner.heap.dispose();
             self.inner.store.reclaim_retired();
         });

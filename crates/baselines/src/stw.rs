@@ -10,7 +10,7 @@
 //! hinges on: GC work is serialized and every processor pays for it.
 
 use crate::common::{
-    par_semispace_collect, resolve_tracked, FlatHeap, RootRegistry, RunEpoch, OWNER_GLOBAL,
+    par_semispace_collect, resolve_tracked, FlatHeap, QuiescentHorizon, RootRegistry, OWNER_GLOBAL,
 };
 use crate::counters::Counters;
 use hh_api::{ParCtx, RunStats, Runtime};
@@ -28,7 +28,7 @@ pub(crate) struct StwInner {
     pub(crate) safepoints: Arc<Safepoints>,
     pub(crate) pool: Pool,
     pub(crate) counters: Counters,
-    pub(crate) epoch: RunEpoch,
+    pub(crate) horizon: QuiescentHorizon,
     pub(crate) gc_threshold_words: usize,
     pub(crate) chunk_words: usize,
     pub(crate) enable_gc: bool,
@@ -80,7 +80,7 @@ impl StwRuntime {
                 safepoints,
                 pool,
                 counters: Counters::default(),
-                epoch: RunEpoch::new(),
+                horizon: QuiescentHorizon::new(),
                 gc_threshold_words,
                 chunk_words,
                 enable_gc,
@@ -348,9 +348,9 @@ impl Runtime for StwRuntime {
         F: FnOnce(&Self::Ctx) -> R + Send,
     {
         // Completed runs' memory is disposed of and recycled here, at the reuse
-        // horizon (see `RunEpoch`); the guard ends the run even if `f` panics out
+        // horizon (see `QuiescentHorizon`); the guard ends the run even if `f` panics out
         // through `Pool::run`.
-        let _epoch = self.inner.epoch.begin(|| {
+        let _run = self.inner.horizon.begin(|| {
             self.inner.heap.dispose();
             self.inner.store.reclaim_retired();
         });

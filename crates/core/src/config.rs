@@ -39,16 +39,6 @@ pub struct HhConfig {
     /// pool would exceed this many words, the excess chunks are released instead of
     /// kept for reuse, bounding the runtime's resident footprint between bursts.
     pub max_free_words: usize,
-    /// Use the batched transitive promotion pass (promotion v2 / ablation A3).
-    ///
-    /// When enabled (the default), a promoting pointer write evacuates the pointee's
-    /// reachable closure in one Cheney-style pass with a single allocation cursor on
-    /// the target heap (one allocation-lock acquisition and one counter flush per
-    /// *pass*), and resolutions compress forwarding chains as they walk them. When
-    /// disabled, the v1 shape is used: one registry allocation, one heap-statistics
-    /// update, and two counter increments per *object*. The flag exists so the
-    /// `promote_overhead` bench and `repro promote` can quantify the difference.
-    pub batched_promotion: bool,
     /// Run the debug-build invariant checker (promotion v2).
     ///
     /// When enabled **and** the build has `debug_assertions`, the runtime verifies
@@ -59,18 +49,6 @@ pub struct HhConfig {
     /// offending objects. Defaults to on in debug builds (so every debug `cargo
     /// test` run is checked) and compiles to nothing in release builds.
     pub check_invariants: bool,
-    /// Reclaim retired chunks per run via the epoch watermark (ablation A5 when
-    /// off).
-    ///
-    /// When enabled (the default), every `run` draws a monotone epoch from the
-    /// store's `RunEpochs`, its heap tree is disposed *at run end*, and the
-    /// quarantine is drained up to the min-active-epoch watermark — so one run's
-    /// chunks recycle while other runs are still mid-flight (the quiescence-free
-    /// horizon a server needs; see DESIGN.md §5). When disabled, the v2 global
-    /// horizon is used: completed runs' trees are disposed at the next `run` start
-    /// that observes **no** active run, which under sustained overlapping load
-    /// never happens — the A5 ablation exists to measure exactly that degradation.
-    pub epoch_reclaim: bool,
     /// Server mode: promote the "no `ObjPtr` crosses runs" rule from documented
     /// convention to a debug assertion. Every mutable-access entry point checks (in
     /// debug builds) that the object's chunk belongs to the accessing run — a stale
@@ -128,9 +106,7 @@ impl Default for HhConfig {
             enable_read_write_fast_path: true,
             enable_write_ptr_fast_path: true,
             max_free_words: 64 * 1024 * 1024, // 512 MiB of reusable chunk memory
-            batched_promotion: true,
             check_invariants: cfg!(debug_assertions),
-            epoch_reclaim: true,
             server_mode: false,
             incremental_gc: false,
             lazy_child_heaps: true,
@@ -162,18 +138,6 @@ impl HhConfig {
             ..Default::default()
         }
     }
-
-    /// Configuration with the v2 global reuse horizon (ablation A5, see
-    /// [`HhConfig::epoch_reclaim`]): retired chunks are reclaimed only at a `run`
-    /// start with no other run active. Under overlapping runs recycling degrades to
-    /// nothing — the contrast the `serve` experiment measures.
-    pub fn global_horizon(n_workers: usize) -> Self {
-        HhConfig {
-            n_workers,
-            epoch_reclaim: false,
-            ..Default::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +152,6 @@ mod tests {
         assert!(c.gc_threshold_words > c.chunk_words);
         assert!(c.max_free_words > c.gc_threshold_words);
         assert!(c.enable_gc && c.enable_read_write_fast_path && c.enable_write_ptr_fast_path);
-        assert!(c.batched_promotion);
         assert_eq!(c.gc_workers, 0, "default GC team = pool size");
         assert!(
             !c.incremental_gc,

@@ -78,7 +78,8 @@ pub struct HhCtx {
 
 /// Follows a (possibly stale) pointer's forwarding chain to its final master copy.
 /// Used by [`HhCtx::unpin`]'s stale-pointer fallback; readability of every hop is
-/// guaranteed by the store's reuse horizon (no recycling while a run is active).
+/// guaranteed by the store's reuse horizon (a run's chunks are not recycled while
+/// that run is active).
 fn resolve_fwd(store: &hh_objmodel::ChunkStore, mut p: ObjPtr) -> ObjPtr {
     loop {
         let v = store.view(p);

@@ -1,12 +1,8 @@
 //! Promotion: copying data up the hierarchy to preserve disentanglement
-//! (the paper's Figure 7, `writePromote` and `promote`) — **promotion v2**.
+//! (the paper's Figure 7, `writePromote` and `promote`).
 //!
-//! The v1 implementation followed Figure 7 literally: one registry allocation (with
-//! its heap-lookup, merge resolution, and allocation-mutex round trip), one per-heap
-//! statistics update, and two global counter increments *per promoted object*, plus a
-//! fresh `Vec<HeapId>` per promotion for the lock path. Promotion v2 keeps the same
-//! locking protocol and the same copy order but batches everything that can be
-//! batched:
+//! The locking protocol and copy order are Figure 7's; the cost of a promotion is
+//! paid per *pass* rather than per object:
 //!
 //! * **Batched transitive promotion** (`promote_value_batched`): the
 //!   pointee's reachable closure is evacuated in one Cheney-style pass holding a
@@ -23,9 +19,7 @@
 //!   across promotions, so the lock path performs no heap allocation after warm-up
 //!   (regression-tested via the `promo_buf_allocs` counter).
 //!
-//! The v1 per-object path is kept behind [`crate::HhConfig::batched_promotion`]
-//! (ablation A3) so the `promote_overhead` bench and `repro promote` can quantify
-//! the difference. See DESIGN.md §6.
+//! See DESIGN.md §6.
 
 use crate::runtime::Inner;
 use hh_heaps::{BatchAlloc, HeapId};
@@ -65,11 +59,12 @@ struct PassStats {
 /// is an ancestor-or-self of the promoting task's heap (disentanglement), and none
 /// of those heaps can be `join_heap`-merged while the pass runs — their owner tasks
 /// are the promoter's own ancestors, suspended at forks that cannot complete before
-/// the promoter returns. Chunk recycling is likewise impossible mid-pass (the reuse
-/// horizon requires no active run). So a chunk's classification is stable for the
-/// pass, and the cache turns the dominant per-field cost (`heap_of` → `resolve` →
-/// `depth`, several dependent atomic loads) into one integer compare for the common
-/// case of bump-allocation locality (consecutive closure objects share chunks).
+/// the promoter returns. Chunk recycling is likewise impossible mid-pass (the
+/// promoter's run holds its epoch, which keeps the watermark from passing its
+/// chunks). So a chunk's classification is stable for the pass, and the cache turns
+/// the dominant per-field cost (`heap_of` → `resolve` → `depth`, several dependent
+/// atomic loads) into one integer compare for the common case of bump-allocation
+/// locality (consecutive closure objects share chunks).
 struct ChunkClassCache<'s> {
     entries: [Option<(u32, bool, &'s Arc<Chunk>)>; 4],
     next: usize,
@@ -164,16 +159,12 @@ impl Inner {
             // on the same forwarding pointers.
             let target_heap = self.registry.heap_of(obj);
             self.counters.promotions.fetch_add(1, Ordering::Relaxed);
-            let promoted = if self.config.batched_promotion {
-                self.promote_value_batched(
-                    target_heap,
-                    ptr,
-                    &mut scratch.pending,
-                    &mut scratch.copies,
-                )
-            } else {
-                self.promote_value_v1(target_heap, ptr)
-            };
+            let promoted = self.promote_value_batched(
+                target_heap,
+                ptr,
+                &mut scratch.pending,
+                &mut scratch.copies,
+            );
             store.view(obj).set_field(field, promoted.to_bits());
 
             // Phase 3: unlock top-down.
@@ -389,84 +380,5 @@ impl Inner {
             stats.compressions += store.compress_fwd_chain(obj, resolved);
         }
         resolved
-    }
-
-    /// The v1 per-object promotion (ablation A3, `batched_promotion == false`): one
-    /// registry allocation, one per-heap statistics update, and two counter
-    /// increments per object, plus a worklist `Vec` allocated per pass — exactly
-    /// the original implementation's shape, kept faithful so the `promote_overhead`
-    /// bench compares against what v1 actually did. No chain compression.
-    fn promote_value_v1(&self, target: HeapId, root: ObjPtr) -> ObjPtr {
-        let store = self.registry.store();
-        let target_depth = self.registry.depth(target);
-        let mut pending: Vec<ObjPtr> = Vec::new();
-        let result = self.forward_for_promotion_v1(target, target_depth, root, &mut pending);
-        while let Some(copy) = pending.pop() {
-            let v = store.view(copy);
-            for f in 0..v.n_ptr() {
-                let old = v.field_ptr(f);
-                let new = self.forward_for_promotion_v1(target, target_depth, old, &mut pending);
-                v.set_field_ptr(f, new);
-            }
-        }
-        result
-    }
-
-    /// One step of the v1 path (see [`Inner::promote_value_v1`]).
-    fn forward_for_promotion_v1(
-        &self,
-        target: HeapId,
-        target_depth: u32,
-        obj: ObjPtr,
-        pending: &mut Vec<ObjPtr>,
-    ) -> ObjPtr {
-        if obj.is_null() {
-            return ObjPtr::NULL;
-        }
-        let store = self.registry.store();
-        let mut cur = obj;
-        loop {
-            let cur_depth = self.registry.depth(self.registry.heap_of(cur));
-            if cur_depth <= target_depth {
-                return cur;
-            }
-            let v = store.view(cur);
-            if v.has_fwd() {
-                cur = v.fwd();
-                continue;
-            }
-            let header = v.header();
-            let copy = self.registry.alloc_obj(target, header);
-            let cv = store.view(copy);
-            if self.incremental_active.load(Ordering::Acquire) {
-                // Same race as the batched path: CAS the install, loser retags
-                // and follows the winner (see `forward_batched`).
-                for f in 0..header.n_fields() {
-                    cv.set_field(f, v.field(f));
-                }
-                if v.try_set_fwd(copy).is_err() {
-                    cv.retag_as_filler();
-                    cur = v.fwd();
-                    continue;
-                }
-            } else {
-                v.set_fwd(copy);
-                for f in 0..header.n_fields() {
-                    cv.set_field(f, v.field(f));
-                }
-            }
-            let words = header.size_words();
-            self.counters
-                .promoted_objects
-                .fetch_add(1, Ordering::Relaxed);
-            self.counters
-                .promoted_words
-                .fetch_add(words as u64, Ordering::Relaxed);
-            self.registry
-                .heap(self.registry.resolve(target))
-                .note_promoted_in(words);
-            pending.push(copy);
-            return copy;
-        }
     }
 }

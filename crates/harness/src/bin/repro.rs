@@ -11,13 +11,13 @@
 //!   fig12       speedup vs. worker count
 //!   fig13       memory consumption and inflation
 //!   promotion   promotion volume on `map` (§4.4)
-//!   promote     promotion v2: batched-vs-v1 micro table + workload counters + rate sweep
+//!   promote     promotion v2: ns/object micro table + workload counters + rate sweep
 //!   ablation    fast-path ablation (DESIGN.md A1)
 //!   sched       scheduler counters (steals, parks, wakes, heaps elided)
 //!   mem         memory lifecycle (peak/live/free words, recycle rates)
 //!   gc          GC v3: pause CDF, copied words, team/steal counters (DESIGN.md §9, §11)
 //!   adversarial adversarial workloads: wavefront ns/cell, entangle promotion cost (§12)
-//!   serve       hh-server: overlapping runs, epoch vs global-horizon reclamation (A5)
+//!   serve       hh-server: overlapping runs under epoch-watermark reclamation
 //!   chaos       seeded fault-injection sweep (DESIGN.md §13); --seeds N picks the
 //!               sweep width; exits nonzero when any seed violates an invariant
 //!   all         everything above except chaos

@@ -534,42 +534,31 @@ fn mem_lifecycle_for(cfg: ExpConfig, benches: &[BenchId]) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Promotion v2 (not in the paper; DESIGN.md §6 / ablation A3).
+// Promotion v2 (not in the paper; DESIGN.md §6).
 // ---------------------------------------------------------------------------
 
-/// `repro promote`, part 1 — microbenchmark: batched promotion (v2) vs the v1
-/// per-object path on closures of increasing size. Each repetition publishes a
-/// freshly built cons closure from a child heap into a parent-heap ref under the
-/// eager per-fork configuration, and only the promoting `write_ptr` is timed
-/// (shared helpers in [`mod@crate::measure`], so this table and the
-/// `promote_overhead` bench always measure the same comparison). The
-/// configuration is fixed (1 worker, fixed closure sizes); the CLI flags apply to
-/// part 2 only. The acceptance bar for promotion v2 is a ≥ 3× speedup on the
-/// 1000-object closure.
+/// `repro promote`, part 1 — microbenchmark: batched promotion cost per object on
+/// closures of increasing size. Each repetition publishes a freshly built cons
+/// closure from a child heap into a parent-heap ref under the eager per-fork
+/// configuration, and only the promoting `write_ptr` is timed (shared helpers in
+/// [`mod@crate::measure`]). The configuration is fixed (1 worker, fixed closure
+/// sizes); the CLI flags apply to part 2 only.
 pub fn promote_micro(_cfg: ExpConfig) -> Table {
     use crate::measure::{promotion_runtime, time_promotions};
 
     let mut table = Table::new(
-        "Promotion v2 — batched vs per-object promotion (ns per promoted object; \
+        "Promotion v2 — batched promotion (ns per promoted object; \
          fixed 1-worker eager config, --scale/--procs/--grain not applicable)",
-        &["closure objects", "v1 ns/obj", "v2 ns/obj", "speedup"],
+        &["closure objects", "ns/obj"],
     );
     for &len in &[16usize, 256, 1024, 4096] {
         let reps = (200_000 / len).clamp(20, 2_000) as u64;
-        let v1_rt = promotion_runtime(false);
-        let v2_rt = promotion_runtime(true);
-        // Warm both runtimes once so chunk minting is off the measured path.
-        time_promotions(&v1_rt, len, 2);
-        time_promotions(&v2_rt, len, 2);
-        let per_obj = |d: std::time::Duration| d.as_nanos() as f64 / (reps as usize * len) as f64;
-        let v1 = per_obj(time_promotions(&v1_rt, len, reps));
-        let v2 = per_obj(time_promotions(&v2_rt, len, reps));
-        table.row(vec![
-            len.to_string(),
-            format!("{v1:.1}"),
-            format!("{v2:.1}"),
-            ratio(v1, v2),
-        ]);
+        let rt = promotion_runtime();
+        // Warm the runtime once so chunk minting is off the measured path.
+        time_promotions(&rt, len, 2);
+        let total = time_promotions(&rt, len, reps);
+        let per_obj = total.as_nanos() as f64 / (reps as usize * len) as f64;
+        table.row(vec![len.to_string(), format!("{per_obj:.1}")]);
     }
     table
 }
@@ -952,19 +941,17 @@ pub fn ablation_fastpath(cfg: ExpConfig) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// hh-server: overlapping runs under epoch vs global-horizon reclamation (A5).
+// hh-server: overlapping runs under epoch-watermark reclamation.
 // ---------------------------------------------------------------------------
 
 /// `repro serve` — the multi-tenant experiment (DESIGN.md §5): `runs` independent
 /// small runs flow from client threads through a bounded queue onto one shared
-/// runtime, so several runs overlap at every instant. One row per reclamation
-/// mode: the default epoch watermark keeps recycling mid-overlap; the A5 global
-/// horizon (reclaim only when *no* run is active) never gets to reclaim under
-/// sustained load, so it mints a fresh chunk per run and its footprint grows with
-/// the request count.
+/// runtime, so several runs overlap at every instant. The epoch watermark keeps
+/// recycling mid-overlap, so the peak footprint stays bounded by the overlap, not
+/// by the request count.
 pub fn serve_overlap(cfg: ExpConfig, runs: usize) -> Table {
     let mut table = Table::new(
-        "serve — overlapping independent runs, epoch vs global-horizon reclamation (A5)",
+        "serve — overlapping independent runs, epoch-watermark reclamation",
         &[
             "mode",
             "runs",
@@ -990,28 +977,22 @@ pub fn serve_overlap(cfg: ExpConfig, runs: usize) -> Table {
         ..hh_server::ServeConfig::default()
     };
     let us = |ns: u64| format!("{:.1}", ns as f64 / 1e3);
-    for (mode, config) in [
-        ("epoch", HhConfig::with_workers(cfg.procs)),
-        ("global (A5)", HhConfig::global_horizon(cfg.procs)),
-    ] {
-        let rt = HhRuntime::new(config);
-        let label = if mode == "epoch" { "epoch" } else { "global" };
-        let r = hh_server::serve(&rt, &serve_cfg, label);
-        hh_server::verify_quiescent(&rt)
-            .unwrap_or_else(|e| panic!("serve {mode}: invariant violated: {e}"));
-        table.row(vec![
-            mode.to_string(),
-            r.runs.to_string(),
-            format!("{:.0}", r.throughput_rps),
-            us(r.latency.p50_ns),
-            us(r.latency.p99_ns),
-            us(r.latency.p999_ns),
-            percent(r.recycle_rate()),
-            r.stats.epoch_reclaims.to_string(),
-            r.stats.active_runs_peak.to_string(),
-            format!("{:.1}", r.peak_footprint_words as f64 / 1024.0),
-        ]);
-    }
+    let rt = HhRuntime::new(HhConfig::with_workers(cfg.procs));
+    let r = hh_server::serve(&rt, &serve_cfg, "epoch");
+    hh_server::verify_quiescent(&rt)
+        .unwrap_or_else(|e| panic!("serve epoch: invariant violated: {e}"));
+    table.row(vec![
+        "epoch".to_string(),
+        r.runs.to_string(),
+        format!("{:.0}", r.throughput_rps),
+        us(r.latency.p50_ns),
+        us(r.latency.p99_ns),
+        us(r.latency.p999_ns),
+        percent(r.recycle_rate()),
+        r.stats.epoch_reclaims.to_string(),
+        r.stats.active_runs_peak.to_string(),
+        format!("{:.1}", r.peak_footprint_words as f64 / 1024.0),
+    ]);
     table
 }
 
@@ -1188,7 +1169,7 @@ mod tests {
     }
 
     #[test]
-    fn serve_overlap_contrasts_epoch_and_global_modes() {
+    fn serve_overlap_epoch_row_reclaims_via_the_watermark() {
         let t = serve_overlap(
             ExpConfig {
                 scale: 0.0005,
@@ -1197,22 +1178,17 @@ mod tests {
             },
             24,
         );
-        assert_eq!(t.n_rows(), 2);
+        assert_eq!(t.n_rows(), 1);
         let rendered = t.render();
-        assert!(rendered.contains("epoch"));
-        assert!(rendered.contains("global (A5)"));
-        // The A5 row reclaims nothing via the watermark.
-        let global_line = rendered
+        let epoch_line = rendered
             .lines()
-            .find(|l| l.trim_start().starts_with("global"))
+            .find(|l| l.trim_start().starts_with("epoch "))
             .unwrap();
-        let toks: Vec<&str> = global_line.split_whitespace().collect();
-        // columns: global (A5) runs runs/s p50 p99 p999 recycle% reclaims peak footprint
-        assert_eq!(
-            toks[toks.len() - 3],
-            "0",
-            "A5 epoch reclaims: {global_line}"
-        );
+        let toks: Vec<&str> = epoch_line.split_whitespace().collect();
+        // columns: epoch runs runs/s p50 p99 p999 recycle% reclaims overlap footprint
+        assert_eq!(toks[1], "24", "every run completes: {epoch_line}");
+        let reclaims: u64 = toks[toks.len() - 3].parse().unwrap();
+        assert!(reclaims > 0, "epoch reclaims: {epoch_line}");
     }
 
     #[test]

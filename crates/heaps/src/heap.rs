@@ -165,15 +165,8 @@ impl Heap {
         ptr
     }
 
-    /// Records an object of `words` words promoted into this heap (statistics only).
-    pub fn note_promoted_in(&self, words: usize) {
-        self.promoted_in_objects.fetch_add(1, Ordering::Relaxed);
-        self.promoted_in_words.fetch_add(words, Ordering::Relaxed);
-    }
-
     /// Records `objects` objects totalling `words` words promoted into this heap in
-    /// one batched pass (statistics only; the bulk form of
-    /// [`Heap::note_promoted_in`]).
+    /// one batched pass (statistics only).
     pub fn note_promoted_in_batch(&self, objects: usize, words: usize) {
         self.promoted_in_objects
             .fetch_add(objects, Ordering::Relaxed);
@@ -528,8 +521,8 @@ mod tests {
     #[test]
     fn promotion_stats_accumulate() {
         let h = Heap::new(HeapId(0), HeapId::NONE, 0);
-        h.note_promoted_in(4);
-        h.note_promoted_in(6);
+        h.note_promoted_in_batch(1, 4);
+        h.note_promoted_in_batch(1, 6);
         let s = h.stats();
         assert_eq!(s.promoted_in_objects, 2);
         assert_eq!(s.promoted_in_words, 10);

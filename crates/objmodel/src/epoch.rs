@@ -1,11 +1,8 @@
 //! Run epochs: the registry behind quiescence-free chunk reclamation.
 //!
-//! The original reuse horizon was global: retired chunks stayed quarantined until *no
-//! run at all* was active (`ChunkStore::reclaim_retired`, called by the runtimes
-//! between runs). That horizon never arrives on a server that keeps many independent
-//! runs in flight, so recycling would stop exactly when traffic is sustained.
-//!
-//! [`RunEpochs`] replaces the global horizon with a per-run one. Every run draws a
+//! [`RunEpochs`] gives every run its own reuse horizon, so reclamation never waits
+//! for a quiescent instant (one with no run active) — an instant that never arrives
+//! on a server that keeps many independent runs in flight. Every run draws a
 //! monotone **epoch** at begin and retires it at dispose. A chunk retired on behalf of
 //! run *e* is stamped `retired_at = e` in the quarantine; it becomes reusable as soon
 //! as the **min-active-epoch watermark** passes it — i.e. once every run with epoch
@@ -13,10 +10,9 @@
 //! retirement can never hold an `ObjPtr` into the chunk (pointers must not cross
 //! runs), so they never hold reclamation back.
 //!
-//! With a single run at a time the watermark degenerates to the old horizon: the only
-//! active epoch is the run's own, and its dispose advances the watermark past
-//! everything it retired. The global horizon itself is kept as ablation A5
-//! (`HhConfig::epoch_reclaim = false`); see DESIGN.md §5.
+//! With a single run at a time the watermark degenerates to the quiescent horizon:
+//! the only active epoch is the run's own, and its dispose advances the watermark
+//! past everything it retired. See DESIGN.md §5.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

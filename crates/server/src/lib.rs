@@ -10,9 +10,8 @@
 //!
 //! The experiment exists to demonstrate the epoch-based reclamation of DESIGN.md
 //! §5: under perpetual overlap the hierarchical runtime keeps recycling chunks
-//! (`chunks_recycled` ≈ 100% of handouts, footprint bounded), while the A5
-//! global-horizon ablation — which reclaims only when *no* run is active — lets
-//! its quarantine grow with the request count.
+//! (`chunks_recycled` ≈ 100% of handouts), so its footprint is bounded by the
+//! overlap rather than by the request count.
 //!
 //! Entry points: [`serve()`] (the loop), [`ServeConfig`], [`ServeReport`] (with
 //! machine-readable [`ServeReport::to_json`]), and [`verify_quiescent`] (post-run

@@ -60,9 +60,9 @@ fn all_runtimes_agree_on_deterministic_benchmarks() {
 }
 
 /// The adversarial workloads (`wavefront`, `entangle`) agree across all four
-/// runtimes *and* across the hierarchical runtime's ablation matrix — A3
-/// (per-object promotion), A4 (serial GC), A6 (monolithic collections, the
-/// default shape), and incremental collection — under GC-pressure thresholds
+/// runtimes *and* across the hierarchical runtime's ablation matrix — A4
+/// (serial GC), A6 (monolithic collections, the default shape), and incremental
+/// collection — under GC-pressure thresholds
 /// with the invariant checker on, leaving no entanglement after any run.
 #[test]
 fn adversarial_workloads_agree_across_runtimes_and_ablations() {
@@ -92,14 +92,7 @@ fn adversarial_workloads_agree_across_runtimes_and_ablations() {
             check_invariants: true,
             ..HhConfig::default()
         };
-        let shapes: [(&str, HhConfig); 4] = [
-            (
-                "A3 (per-object promotion)",
-                HhConfig {
-                    batched_promotion: false,
-                    ..base.clone()
-                },
-            ),
+        let shapes: [(&str, HhConfig); 3] = [
             (
                 "A4 (serial GC)",
                 HhConfig {
