@@ -1,8 +1,8 @@
 //! Shared machinery for the baseline runtimes: flat heaps over the chunk store, the
 //! forwarding-resolution read barrier, root registries, and a plain semispace collector.
 
-use hh_objmodel::{Chunk, ChunkId, ChunkStore, Header, ObjPtr};
-use hh_sched::{EvacEngine, EvacZone};
+use hh_objmodel::{ChunkCursor, ChunkId, ChunkStore, Header, Init, ObjPtr};
+use hh_sched::EvacEngine;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -11,7 +11,8 @@ use std::sync::Arc;
 /// Raw owner id used for the shared global heap of the parallel baselines.
 pub const OWNER_GLOBAL: u32 = u32::MAX - 1;
 
-/// A flat (non-hierarchical) heap: a bag of chunks with one allocation cursor per lane.
+/// A flat (non-hierarchical) heap: a bag of chunks with one allocation cursor
+/// ([`ChunkCursor`]) per lane; together the lanes own the heap's chunks.
 ///
 /// Lanes give the parallel baselines per-worker allocation buffers (the paper's
 /// `mlton-spoonhower` supports parallel allocation) while keeping a single logical heap
@@ -19,8 +20,7 @@ pub const OWNER_GLOBAL: u32 = u32::MAX - 1;
 pub struct FlatHeap {
     store: Arc<ChunkStore>,
     owner_raw: u32,
-    lanes: Vec<Mutex<Option<ChunkId>>>,
-    chunks: Mutex<Vec<ChunkId>>,
+    lanes: Vec<Mutex<ChunkCursor>>,
     allocated_words: AtomicUsize,
 }
 
@@ -30,8 +30,9 @@ impl FlatHeap {
         FlatHeap {
             store,
             owner_raw,
-            lanes: (0..lanes.max(1)).map(|_| Mutex::new(None)).collect(),
-            chunks: Mutex::new(Vec::new()),
+            lanes: (0..lanes.max(1))
+                .map(|_| Mutex::new(ChunkCursor::new()))
+                .collect(),
             allocated_words: AtomicUsize::new(0),
         }
     }
@@ -46,53 +47,33 @@ impl FlatHeap {
         self.allocated_words.load(Ordering::Relaxed)
     }
 
-    /// Allocates an object in lane `lane`.
-    ///
-    /// Objects larger than the store's default chunk size get a dedicated chunk
-    /// without displacing the lane's current bump chunk, so a large-object detour
-    /// does not abandon the partially filled chunk that subsequent small objects
-    /// still fit in.
+    /// Allocates an object in lane `lane`, by the placement rule of
+    /// [`ChunkCursor::alloc`].
     pub fn alloc(&self, lane: usize, header: Header) -> ObjPtr {
-        let lane = lane % self.lanes.len();
-        let size = header.size_words();
-        let mut cur = self.lanes[lane].lock();
-        if self.store.needs_dedicated_chunk(header) {
-            let (chunk, ptr) = self.store.alloc_dedicated(self.owner_raw, header);
-            self.chunks.lock().push(chunk.id());
-            self.allocated_words.fetch_add(size, Ordering::Relaxed);
-            return ptr;
-        }
-        if let Some(id) = *cur {
-            let chunk = self.store.chunk(id);
-            if let Some(ptr) = self.store.alloc_in_chunk(chunk, header) {
-                self.allocated_words.fetch_add(size, Ordering::Relaxed);
-                return ptr;
-            }
-        }
-        let chunk = self.store.alloc_chunk(self.owner_raw, size);
-        let ptr = self
-            .store
-            .alloc_in_chunk(&chunk, header)
-            .expect("fresh chunk too small");
-        *cur = Some(chunk.id());
-        self.chunks.lock().push(chunk.id());
-        self.allocated_words.fetch_add(size, Ordering::Relaxed);
+        let lane = &self.lanes[lane % self.lanes.len()];
+        let ptr = lane
+            .lock()
+            .alloc(&self.store, self.owner_raw, 0, header, Init::Full)
+            .ptr;
+        self.allocated_words
+            .fetch_add(header.size_words(), Ordering::Relaxed);
         ptr
     }
 
     /// Snapshot of every chunk currently belonging to this heap.
     pub fn chunks(&self) -> Vec<ChunkId> {
-        self.chunks.lock().clone()
+        self.lanes
+            .iter()
+            .flat_map(|lane| lane.lock().chunks().to_vec())
+            .collect()
     }
 
     /// Replaces the chunk list after a collection and resets all allocation cursors.
     /// Returns the old chunk list.
     pub fn replace_chunks(&self, new_chunks: Vec<ChunkId>, new_words: usize) -> Vec<ChunkId> {
-        let mut chunks = self.chunks.lock();
-        let old = std::mem::replace(&mut *chunks, new_chunks);
-        for lane in &self.lanes {
-            *lane.lock() = None;
-        }
+        let mut lanes: Vec<_> = self.lanes.iter().map(|lane| lane.lock()).collect();
+        let old = lanes.iter_mut().flat_map(|lane| lane.take().0).collect();
+        lanes[0].adopt(new_chunks, new_words);
         self.allocated_words.store(new_words, Ordering::Relaxed);
         old
     }
@@ -470,47 +451,16 @@ pub fn semispace_collect(
     zone: &[ChunkId],
     registry: &RootRegistry,
     extra_roots: &mut [ObjPtr],
-    chunk_words_hint: usize,
 ) -> CollectOutcome {
-    par_semispace_collect(
-        store,
-        owner_raw,
-        zone,
-        registry,
-        extra_roots,
-        chunk_words_hint,
-        None,
-    )
+    par_semispace_collect(store, owner_raw, zone, registry, extra_roots, None)
 }
 
-/// The flat slot-to-heap mapping for the shared evacuation engine
-/// ([`hh_sched::EvacEngine`], GC v3): a single zone slot backed by one owner's
-/// to-space. The member body, span pack/steal loop, CAS forwarding race, and
-/// idle-termination protocol all live in `hh_sched::evac` — shared verbatim
-/// with the hierarchical collector, so a protocol fix lands in both at once.
-struct FlatZone {
-    store: Arc<ChunkStore>,
-    owner_raw: u32,
-    chunk_words_hint: usize,
-}
-
-impl EvacZone for FlatZone {
-    fn n_slots(&self) -> usize {
-        1
-    }
-
-    fn alloc_dedicated(&self, _slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr) {
-        self.store.alloc_dedicated(self.owner_raw, header)
-    }
-
-    fn alloc_chunk(&self, _slot: u16, min_words: usize) -> Arc<Chunk> {
-        self.store
-            .alloc_chunk(self.owner_raw, min_words.max(self.chunk_words_hint))
-    }
-}
-
-/// A plain (non-hierarchical) semispace collection over an explicit zone,
-/// optionally run on a **GC team** (GC v2): `draft = Some((safepoints, helpers))`
+/// A plain (non-hierarchical) semispace collection over an explicit zone, on the
+/// shared evacuation engine ([`hh_sched::EvacEngine`], GC v3) with a single zone
+/// slot whose to-space chunks belong to `owner_raw` — the member body, span
+/// pack/steal loop, CAS forwarding race, and idle-termination protocol are shared
+/// verbatim with the hierarchical collector, so a protocol fix lands in both at
+/// once. Optionally run on a **GC team** (GC v2): `draft = Some((safepoints, helpers))`
 /// offers the collection to up to `helpers` threads parked at the safepoint — the
 /// stop-the-world baselines' workers stop sleeping through the pause and collect
 /// instead, so the fig12/fig13 comparisons measure parallel collectors on both
@@ -534,7 +484,6 @@ pub fn par_semispace_collect(
     zone: &[ChunkId],
     registry: &RootRegistry,
     extra_roots: &mut [ObjPtr],
-    chunk_words_hint: usize,
     draft: Option<(&Safepoints, usize)>,
 ) -> CollectOutcome {
     let epoch = store.next_gc_epoch();
@@ -543,11 +492,7 @@ pub fn par_semispace_collect(
     }
     let team = 1 + draft.map_or(0, |(_, helpers)| helpers);
     let engine = Arc::new(EvacEngine::new(
-        FlatZone {
-            store: Arc::clone(store),
-            owner_raw,
-            chunk_words_hint,
-        },
+        vec![(owner_raw, 0)],
         Arc::clone(store),
         epoch,
         team,
@@ -593,7 +538,8 @@ pub fn par_semispace_collect(
         .per_slot
         .into_iter()
         .next()
-        .expect("flat zone has exactly one slot");
+        .expect("flat zone has exactly one slot")
+        .take();
     CollectOutcome {
         new_chunks,
         copied_words: outcome.copied_words as usize,
@@ -697,7 +643,7 @@ mod tests {
         roots.lock().push(list);
 
         let zone = heap.chunks();
-        let outcome = semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, &mut [], 256);
+        let outcome = semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, &mut []);
         heap.replace_chunks(outcome.new_chunks, outcome.copied_words);
 
         // Live data: 5 cells of 5 words each.
@@ -727,7 +673,7 @@ mod tests {
         roots.lock().push(obj);
         for _ in 0..2 {
             let zone = heap.chunks();
-            let outcome = semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, &mut [], 256);
+            let outcome = semispace_collect(&store, OWNER_GLOBAL, &zone, &registry, &mut []);
             heap.replace_chunks(outcome.new_chunks, outcome.copied_words);
             assert_eq!(outcome.copied_words, 5);
         }

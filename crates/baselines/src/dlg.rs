@@ -39,7 +39,6 @@ pub(crate) struct DlgInner {
     pub(crate) horizon: QuiescentHorizon,
     pub(crate) promote_lock: Mutex<()>,
     pub(crate) gc_threshold_words: usize,
-    pub(crate) chunk_words: usize,
     pub(crate) enable_gc: bool,
 }
 
@@ -94,7 +93,6 @@ impl DlgRuntime {
                 horizon: QuiescentHorizon::new(),
                 promote_lock: Mutex::new(()),
                 gc_threshold_words,
-                chunk_words,
                 enable_gc,
             }),
         }
@@ -193,7 +191,6 @@ impl DlgInner {
                 &zone,
                 &self.roots,
                 &mut [],
-                self.chunk_words,
                 Some((&self.safepoints, helpers)),
             );
             // Survivors all land in the global heap; local heaps restart empty.

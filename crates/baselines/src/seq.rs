@@ -24,7 +24,6 @@ struct SeqInner {
     counters: Counters,
     horizon: QuiescentHorizon,
     gc_threshold_words: usize,
-    chunk_words: usize,
     enable_gc: bool,
 }
 
@@ -55,7 +54,6 @@ impl SeqRuntime {
                 counters: Counters::default(),
                 horizon: QuiescentHorizon::new(),
                 gc_threshold_words,
-                chunk_words,
                 enable_gc,
             }),
         }
@@ -85,14 +83,7 @@ impl SeqInner {
     fn collect(&self) {
         let start = Instant::now();
         let zone = self.heap.chunks();
-        let outcome = semispace_collect(
-            &self.store,
-            OWNER_SEQ,
-            &zone,
-            &self.roots,
-            &mut [],
-            self.chunk_words,
-        );
+        let outcome = semispace_collect(&self.store, OWNER_SEQ, &zone, &self.roots, &mut []);
         self.heap
             .replace_chunks(outcome.new_chunks, outcome.occupied_words);
         self.counters.gc_count.fetch_add(1, Ordering::Relaxed);

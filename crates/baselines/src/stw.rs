@@ -30,7 +30,6 @@ pub(crate) struct StwInner {
     pub(crate) counters: Counters,
     pub(crate) horizon: QuiescentHorizon,
     pub(crate) gc_threshold_words: usize,
-    pub(crate) chunk_words: usize,
     pub(crate) enable_gc: bool,
 }
 
@@ -82,7 +81,6 @@ impl StwRuntime {
                 counters: Counters::default(),
                 horizon: QuiescentHorizon::new(),
                 gc_threshold_words,
-                chunk_words,
                 enable_gc,
             }),
         }
@@ -113,7 +111,6 @@ impl StwInner {
                 &zone,
                 &self.roots,
                 &mut [],
-                self.chunk_words,
                 Some((&self.safepoints, helpers)),
             );
             self.heap

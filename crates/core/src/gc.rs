@@ -26,57 +26,20 @@
 //! idle-termination protocol live in **one** shared module — `hh_sched::evac` —
 //! consumed by this collector and the flat baseline collector alike. This module
 //! contributes only what is hierarchical about the collection: the slot-to-heap
-//! mapping (`HierZone`, one to-space per zone heap so survivors keep their
-//! placement in the hierarchy), zone assembly (chunk stamping plus the quarantine
-//! rescue walk), and the post-collection installation of per-heap chunk lists.
+//! mapping (`Inner::zone_slots`, one to-space per zone heap so survivors keep
+//! their placement in the hierarchy), zone assembly (chunk stamping plus the
+//! quarantine rescue walk), and the post-collection installation of per-heap
+//! to-spaces.
 //! DESIGN.md §9 gives the full correctness argument for the team protocol, §11
 //! for the incremental mode built on the same engine.
 
 use crate::runtime::Inner;
 use hh_heaps::HeapId;
-use hh_objmodel::{Chunk, ChunkId, ChunkStore, Header, ObjPtr, GC_MAX_ZONE_SLOTS};
-use hh_sched::{EvacEngine, EvacZone};
+use hh_objmodel::{ChunkCursor, ChunkId, ChunkStore, ObjPtr, GC_MAX_ZONE_SLOTS};
+use hh_sched::EvacEngine;
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// The hierarchical slot-to-heap mapping: zone slot `i` allocates to-space
-/// chunks owned (and run-tagged) by the zone's `i`-th heap, so a subtree
-/// collection preserves each survivor's placement in the hierarchy.
-pub(crate) struct HierZone {
-    store: Arc<ChunkStore>,
-    /// Raw heap id per zone slot, for tagging freshly allocated to-space chunks.
-    heap_raws: Vec<u32>,
-    /// Run epoch per zone slot (the heap's run tag). To-space chunks inherit it
-    /// so that (a) the server-mode cross-run assertion accepts survivors and
-    /// (b) when the run later disposes, its to-space chunks carry the run's own
-    /// epoch stamp into quarantine instead of a conservative latest-issued
-    /// stamp — under overlapping runs the conservative stamp would park them
-    /// behind every younger run and visibly degrade recycling.
-    heap_tags: Vec<u64>,
-}
-
-impl EvacZone for HierZone {
-    fn n_slots(&self) -> usize {
-        self.heap_raws.len()
-    }
-
-    fn alloc_dedicated(&self, slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr) {
-        self.store.alloc_dedicated_for_run(
-            self.heap_raws[slot as usize],
-            header,
-            self.heap_tags[slot as usize],
-        )
-    }
-
-    fn alloc_chunk(&self, slot: u16, min_words: usize) -> Arc<Chunk> {
-        self.store.alloc_chunk_for_run(
-            self.heap_raws[slot as usize],
-            min_words,
-            self.heap_tags[slot as usize],
-        )
-    }
-}
 
 impl Inner {
     /// Effective GC team size: `gc_workers` (0 = "pool size"), clamped to the pool.
@@ -196,16 +159,17 @@ impl Inner {
         }
     }
 
-    /// Builds the engine's zone mapping for `zone`.
-    pub(crate) fn hier_zone(&self, store: &Arc<ChunkStore>, zone: &[HeapId]) -> HierZone {
-        HierZone {
-            store: Arc::clone(store),
-            heap_raws: zone.iter().map(|h| h.raw()).collect(),
-            heap_tags: zone
-                .iter()
-                .map(|&h| self.registry.heap(h).run_tag())
-                .collect(),
-        }
+    /// The engine's zone mapping for `zone`: slot `i` allocates to-space chunks
+    /// owned by the zone's `i`-th heap and tagged with that heap's run tag. The
+    /// tag matters twice: the server-mode cross-run assertion accepts the
+    /// survivors, and when the run later disposes its to-space chunks carry the
+    /// run's own epoch stamp into quarantine instead of a conservative
+    /// latest-issued stamp — under overlapping runs the conservative stamp would
+    /// park them behind every younger run and visibly degrade recycling.
+    pub(crate) fn zone_slots(&self, zone: &[HeapId]) -> Vec<(u32, u64)> {
+        zone.iter()
+            .map(|&h| (h.raw(), self.registry.heap(h).run_tag()))
+            .collect()
     }
 
     /// The shared collection body: evacuates `zone` (a set of live heaps), treating
@@ -244,7 +208,7 @@ impl Inner {
 
         // --- Run the evacuation on the team. -------------------------------------
         let engine = Arc::new(EvacEngine::new(
-            self.hier_zone(&store, &zone),
+            self.zone_slots(&zone),
             Arc::clone(&store),
             epoch,
             team,
@@ -310,21 +274,15 @@ impl Inner {
         store: &Arc<ChunkStore>,
         epoch: u64,
         old_chunks: Vec<(HeapId, Vec<ChunkId>)>,
-        per_slot: Vec<(Vec<ChunkId>, usize)>,
+        per_slot: Vec<ChunkCursor>,
     ) {
-        for ((heap, old), (chunks, words)) in old_chunks.into_iter().zip(per_slot) {
-            if chunks.is_empty() {
-                debug_assert_eq!(words, 0, "to-space words without to-space chunks");
-                // Zero survivors. A heap that also had no from-space chunks (an
-                // empty descendant swept into the zone) needs no flip at all;
-                // otherwise install the empty to-space so the old chunks retire.
-                if !old.is_empty() {
-                    self.registry.heap(heap).replace_chunks(Vec::new(), 0);
-                }
-            } else {
-                // The engine's merge already moved a partially filled bump chunk
-                // to the end of the list — the heap's resume point.
-                self.registry.heap(heap).replace_chunks(chunks, words);
+        for ((heap, old), to_space) in old_chunks.into_iter().zip(per_slot) {
+            // A heap with neither survivors nor from-space chunks (an empty
+            // descendant swept into the zone) needs no flip at all; otherwise the
+            // to-space (empty or not) becomes the heap's from-space, resuming
+            // allocation from its partially filled bump chunk.
+            if !to_space.chunks().is_empty() || !old.is_empty() {
+                self.registry.heap(heap).replace_chunks(to_space);
             }
             // Retire the old from-space. Old chunk contents stay readable until the
             // store's reuse horizon passes (they enter the quarantine — see

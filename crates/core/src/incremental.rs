@@ -50,10 +50,9 @@
 //! Unpinned Rust locals keep the established semantics: readable until the reuse
 //! horizon, rescued by a later collection's quarantine walk if still reachable.
 
-use crate::gc::HierZone;
 use crate::runtime::Inner;
 use hh_heaps::HeapId;
-use hh_objmodel::{ChunkGcState, ChunkId, ObjPtr, GC_MAX_ZONE_SLOTS};
+use hh_objmodel::{ChunkCursor, ChunkGcState, ChunkId, ObjPtr, GC_MAX_ZONE_SLOTS};
 use hh_sched::{EvacEngine, SCAN_BLOCK_WORDS};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -85,7 +84,7 @@ const GC_FINALIZE_STALENESS: usize = 64;
 pub(crate) struct ActiveGc {
     /// The evacuation engine, in mutator-concurrent mode (one member slot plus
     /// the hidden barrier slot).
-    pub(crate) engine: EvacEngine<HierZone>,
+    pub(crate) engine: EvacEngine,
     /// Safe-point drains that observed the wavefront empty while the window
     /// stayed unclaimed (see `GC_FINALIZE_STALENESS`).
     empty_safepoint_ticks: AtomicUsize,
@@ -137,16 +136,10 @@ impl Inner {
         // allocates from here on is correctly excluded from the collection.
         let old_chunks: Vec<(HeapId, Vec<ChunkId>)> = zone
             .iter()
-            .map(|&h| (h, self.registry.heap(h).replace_chunks(Vec::new(), 0)))
+            .map(|&h| (h, self.registry.heap(h).replace_chunks(ChunkCursor::new())))
             .collect();
         self.stamp_chunks(&store, &zone, epoch, &old_chunks);
-        let engine = EvacEngine::new(
-            self.hier_zone(&store, &zone),
-            Arc::clone(&store),
-            epoch,
-            1,
-            true,
-        );
+        let engine = EvacEngine::new(self.zone_slots(&zone), Arc::clone(&store), epoch, 1, true);
         // Evacuate the pins — the only part of the live set the mutator waits
         // for. Publication order: barriers must be fully armed (epoch, engine,
         // then the flag, Release) before any *other* thread can reach a
@@ -334,15 +327,13 @@ impl Inner {
     fn finalize_merge_and_uninstall(&self, gc: &Arc<ActiveGc>) {
         let store = self.registry.store();
         let outcome = gc.engine.merge();
-        for ((heap, old), (chunks, words)) in gc.old_chunks.iter().zip(outcome.per_slot) {
+        for ((heap, old), to_space) in gc.old_chunks.iter().zip(outcome.per_slot) {
             // A zone heap may have been joined away mid-window (a borrower-start
             // descendant whose splice happened after the flip): its survivors
             // belong to whatever heap holds its objects now.
             let live = self.registry.resolve(*heap);
-            if !chunks.is_empty() {
-                self.registry
-                    .heap(live)
-                    .adopt_collected_chunks(chunks, words);
+            if !to_space.chunks().is_empty() {
+                self.registry.heap(live).adopt_collected_chunks(to_space);
             }
             // From-space chunks carry the run's own tag, so under overlapping
             // runs they quarantine behind this run's epoch, not a conservative

@@ -6,8 +6,8 @@
 //!
 //! * **Batched transitive promotion** (`promote_value_batched`): the
 //!   pointee's reachable closure is evacuated in one Cheney-style pass holding a
-//!   single allocation cursor ([`hh_heaps::BatchAlloc`]) on the target heap — one
-//!   allocation-mutex acquisition, one heap-statistics update, and one flush of the
+//!   single allocation cursor ([`hh_heaps::Heap::with_cursor`]) on the target heap —
+//!   one allocation-mutex acquisition, one heap-statistics update, and one flush of the
 //!   global counters per *pass*.
 //! * **Forwarding-chain path compression**: whenever a chase walks a chain of two or
 //!   more hops, every intermediate hop is CAS-shortcut to the chain's end
@@ -22,8 +22,8 @@
 //! See DESIGN.md §6.
 
 use crate::runtime::Inner;
-use hh_heaps::{BatchAlloc, HeapId};
-use hh_objmodel::{Chunk, ChunkStore, ObjPtr, ObjView};
+use hh_heaps::HeapId;
+use hh_objmodel::{Chunk, ChunkCursor, ChunkStore, Init, ObjPtr, ObjView};
 use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -208,19 +208,19 @@ impl Inner {
         let mut stats = PassStats::default();
         let mut cache = ChunkClassCache::new();
 
-        let words;
-        let result;
-        {
-            // One allocation-mutex acquisition for the whole pass. The heap WRITE
-            // lock held by `write_promote` already excludes readers; the cursor
-            // additionally excludes concurrent allocators (the target heap's own
-            // domain) for the duration of the pass.
-            let mut batch = heap.batch_alloc(store);
-            result = self.forward_batched(
+        let dest = (heap.id().raw(), heap.run_tag());
+        // One allocation-mutex acquisition for the whole pass. The heap WRITE lock
+        // held by `write_promote` already excludes readers; the cursor additionally
+        // excludes concurrent allocators (the target heap's own domain) for the
+        // duration of the pass.
+        let (result, words) = heap.with_cursor(|cursor| {
+            let words_before = cursor.words();
+            let result = self.forward_batched(
                 store,
                 target_depth,
                 root,
-                &mut batch,
+                cursor,
+                dest,
                 pending,
                 copies,
                 record_copies,
@@ -248,7 +248,8 @@ impl Inner {
                         store,
                         target_depth,
                         old,
-                        &mut batch,
+                        cursor,
+                        dest,
                         pending,
                         copies,
                         record_copies,
@@ -258,8 +259,8 @@ impl Inner {
                     v.set_field_ptr(f, new);
                 }
             }
-            words = batch.allocated_words();
-        }
+            (result, cursor.words() - words_before)
+        });
 
         // One statistics flush per pass instead of several atomics per object.
         heap.note_promoted_in_batch(stats.objects as usize, words);
@@ -289,7 +290,8 @@ impl Inner {
 
     /// One step of the batched pass: returns an existing copy of `obj` at or above
     /// `target_depth` if one exists (lines 29–31), otherwise copies `obj` through the
-    /// batch cursor, installs its forwarding pointer, and schedules the copy for
+    /// target heap's cursor (allocating for `dest`, the heap's raw id and run tag),
+    /// installs its forwarding pointer, and schedules the copy for
     /// scanning (leaf objects with no pointer fields skip the worklist). Chains of
     /// two or more hops are compressed to their end; the depth classification is
     /// served from the per-pass chunk cache (see [`ChunkClassCache`]).
@@ -299,7 +301,8 @@ impl Inner {
         store: &'s ChunkStore,
         target_depth: u32,
         obj: ObjPtr,
-        batch: &mut BatchAlloc<'_>,
+        cursor: &mut ChunkCursor,
+        dest: (u32, u64),
         pending: &mut Vec<(ObjPtr, u32)>,
         copies: &mut Vec<ObjPtr>,
         record_copies: bool,
@@ -336,11 +339,12 @@ impl Inner {
             // installed *before* the fields are filled in (as in the paper);
             // concurrent `findMaster` calls cannot observe the half-initialized copy
             // because we hold the target heap's WRITE lock, and `readImmutable`
-            // never follows forwarding pointers. `alloc_for_copy` leaves the fields
-            // raw — the loop below stores every one before the lock is released.
+            // never follows forwarding pointers. `Init::Copy` leaves the fields raw —
+            // the loop below stores every one before the lock is released.
             let header = v.header();
-            let (copy, copy_chunk) = batch.alloc_for_copy(header);
-            let cv = ObjView::new(copy_chunk, copy.offset());
+            let placed = cursor.alloc(store, dest.0, dest.1, header, Init::Copy);
+            let copy = placed.ptr;
+            let cv = ObjView::new(placed.chunk, copy.offset());
             if self.incremental_active.load(Ordering::Acquire) {
                 // An incremental collection may be evacuating `cur`'s heap right
                 // now: idle-worker drains install forwarding pointers without

@@ -2,20 +2,9 @@
 
 use crate::id::HeapId;
 use crate::rwlock::HeapRwLock;
-use hh_objmodel::{Chunk, ChunkId, ChunkStore, Header, ObjPtr};
+use hh_objmodel::{ChunkCursor, ChunkId, ChunkStore, Header, Init, ObjPtr};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
-
-/// Allocation state of a heap: the chunk currently being bumped into plus the list of
-/// all chunks belonging to the heap (its from-space).
-#[derive(Debug, Default)]
-struct AllocState {
-    /// Chunk currently used for small-object allocation (always also present in `chunks`).
-    current: Option<ChunkId>,
-    /// All chunks owned by this heap, in allocation order.
-    chunks: Vec<ChunkId>,
-}
 
 /// Point-in-time statistics for one heap.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -50,7 +39,10 @@ pub struct Heap {
     merged_into: AtomicU32,
     /// The paper's per-heap readers–writer lock.
     pub lock: HeapRwLock,
-    alloc: Mutex<AllocState>,
+    /// The heap's chunk list (its from-space) and bump chunk.
+    alloc: Mutex<ChunkCursor>,
+    /// Lock-free mirror of the cursor's word count, refreshed under the allocation
+    /// mutex whenever the cursor changes (safe points read it on every poll).
     allocated_words: AtomicUsize,
     promoted_in_objects: AtomicUsize,
     promoted_in_words: AtomicUsize,
@@ -71,7 +63,7 @@ impl Heap {
             depth: AtomicU32::new(depth),
             merged_into: AtomicU32::new(HeapId::NONE.raw()),
             lock: HeapRwLock::new(),
-            alloc: Mutex::new(AllocState::default()),
+            alloc: Mutex::new(ChunkCursor::new()),
             allocated_words: AtomicUsize::new(0),
             promoted_in_objects: AtomicUsize::new(0),
             promoted_in_words: AtomicUsize::new(0),
@@ -130,39 +122,33 @@ impl Heap {
         );
     }
 
-    /// Allocates an object with the given header in this heap (`freshObj`).
+    /// Allocates an object with the given header in this heap (`freshObj`), by the
+    /// placement rule of [`ChunkCursor::alloc`].
     ///
     /// Thread-safe: the owning task allocates here, but promotions performed by other
     /// tasks (holding this heap's WRITE lock) also allocate into ancestor heaps.
-    ///
-    /// Objects larger than the store's default chunk size get a dedicated chunk
-    /// *without* displacing the current bump chunk, so a large-object detour does not
-    /// abandon the partially filled chunk that subsequent small objects still fit in.
     pub fn alloc_obj(&self, store: &ChunkStore, header: Header) -> ObjPtr {
-        let size = header.size_words();
-        let mut st = self.alloc.lock();
-        if store.needs_dedicated_chunk(header) {
-            let (chunk, ptr) = store.alloc_dedicated_for_run(self.id.raw(), header, self.run_tag);
-            st.chunks.push(chunk.id());
-            self.allocated_words.fetch_add(size, Ordering::Relaxed);
-            return ptr;
-        }
-        if let Some(cur) = st.current {
-            let chunk = store.chunk(cur);
-            if let Some(ptr) = store.alloc_in_chunk(chunk, header) {
-                self.allocated_words.fetch_add(size, Ordering::Relaxed);
-                return ptr;
-            }
-        }
-        // Current chunk absent or full: get a new one big enough for this object.
-        let chunk = store.alloc_chunk_for_run(self.id.raw(), size, self.run_tag);
-        let ptr = store
-            .alloc_in_chunk(&chunk, header)
-            .expect("fresh chunk cannot be too small for the object it was sized for");
-        st.current = Some(chunk.id());
-        st.chunks.push(chunk.id());
-        self.allocated_words.fetch_add(size, Ordering::Relaxed);
-        ptr
+        self.with_cursor(|c| {
+            c.alloc(store, self.id.raw(), self.run_tag, header, Init::Full)
+                .ptr
+        })
+    }
+
+    /// Runs `f` on this heap's allocation cursor with the allocation mutex held, so a
+    /// pass that allocates many objects (batched promotion evacuating a closure) pays
+    /// one lock acquisition instead of one per object. Allocate with this heap's
+    /// owner id and [`Heap::run_tag`].
+    ///
+    /// While `f` runs, every other allocator of this heap blocks — callers must keep
+    /// the session bounded (promotion already excludes `findMaster` readers via the
+    /// heap WRITE lock; the allocation mutex is a leaf lock, so no ordering cycle is
+    /// possible).
+    pub fn with_cursor<R>(&self, f: impl FnOnce(&mut ChunkCursor) -> R) -> R {
+        let mut cursor = self.alloc.lock();
+        let r = f(&mut cursor);
+        self.allocated_words
+            .store(cursor.words(), Ordering::Relaxed);
+        r
     }
 
     /// Records `objects` objects totalling `words` words promoted into this heap in
@@ -173,29 +159,6 @@ impl Heap {
         self.promoted_in_words.fetch_add(words, Ordering::Relaxed);
     }
 
-    /// Opens a batched allocation session on this heap: the allocation mutex is
-    /// acquired **once** and held by the returned cursor until it is dropped, so a
-    /// pass that allocates many objects (batched promotion evacuating a closure)
-    /// pays one lock acquisition instead of one per object.
-    ///
-    /// While the cursor is alive, every other allocator of this heap
-    /// ([`Heap::alloc_obj`], other cursors) blocks — callers must keep the session
-    /// bounded (promotion already excludes `findMaster` readers via the heap WRITE
-    /// lock; the allocation mutex is a leaf lock, so no ordering cycle is possible).
-    /// Allocated words are published to the heap's accounting when the cursor drops.
-    pub fn batch_alloc<'a>(&'a self, store: &'a ChunkStore) -> BatchAlloc<'a> {
-        let state = self.alloc.lock();
-        let current = state.current.map(|id| Arc::clone(store.chunk(id)));
-        BatchAlloc {
-            heap: self,
-            store,
-            state,
-            current,
-            dedicated: None,
-            words: 0,
-        }
-    }
-
     /// Words allocated into this heap since creation or the last [`Heap::replace_chunks`].
     pub fn allocated_words(&self) -> usize {
         self.allocated_words.load(Ordering::Relaxed)
@@ -203,53 +166,39 @@ impl Heap {
 
     /// Snapshot of the chunk ids currently owned by this heap.
     pub fn chunks(&self) -> Vec<ChunkId> {
-        self.alloc.lock().chunks.clone()
+        self.alloc.lock().chunks().to_vec()
     }
 
     /// Number of chunks currently owned by this heap.
     pub fn n_chunks(&self) -> usize {
-        self.alloc.lock().chunks.len()
+        self.alloc.lock().chunks().len()
     }
 
     /// Splices all of `child`'s chunks onto this heap's chunk list (`joinHeap`). The
-    /// child's allocation state is emptied. Constant-time apart from the list splice.
+    /// child's allocation state is emptied; this heap's bump chunk stays current.
+    /// Constant-time apart from the list splice.
     pub fn absorb_chunks_of(&self, child: &Heap) {
         let mut child_alloc = child.alloc.lock();
-        let mut my_alloc = self.alloc.lock();
-        my_alloc.chunks.append(&mut child_alloc.chunks);
-        child_alloc.current = None;
-        let w = child.allocated_words.swap(0, Ordering::Relaxed);
-        self.allocated_words.fetch_add(w, Ordering::Relaxed);
+        let (chunks, words) = child_alloc.take();
+        child.allocated_words.store(0, Ordering::Relaxed);
+        self.with_cursor(|c| c.adopt(chunks, words));
     }
 
-    /// Replaces this heap's chunk list wholesale (used by the collector to install the
-    /// to-space as the new from-space). Returns the old chunk list.
-    pub fn replace_chunks(
-        &self,
-        new_chunks: Vec<ChunkId>,
-        new_allocated_words: usize,
-    ) -> Vec<ChunkId> {
-        let mut st = self.alloc.lock();
-        let old = std::mem::replace(&mut st.chunks, new_chunks);
-        st.current = st.chunks.last().copied();
-        self.allocated_words
-            .store(new_allocated_words, Ordering::Relaxed);
+    /// Installs a collected to-space as this heap's new from-space, resuming
+    /// allocation from its current chunk (if any). Returns the old chunk list.
+    pub fn replace_chunks(&self, to_space: ChunkCursor) -> Vec<ChunkId> {
+        let old = self.with_cursor(|c| std::mem::replace(c, to_space).take().0);
         self.collections.fetch_add(1, Ordering::Relaxed);
         old
     }
 
-    /// Prepends collected to-space chunks to this heap's chunk list without touching
-    /// the allocation cursor (used by the incremental collector's finalize: the
-    /// mutator has been allocating fresh chunks into this heap since the roots-only
-    /// pause, and its current bump chunk must stay current). Counts as a collection.
-    pub fn adopt_collected_chunks(&self, mut collected: Vec<ChunkId>, collected_words: usize) {
-        let mut st = self.alloc.lock();
-        collected.append(&mut st.chunks);
-        st.chunks = collected;
-        // `current` still points at the mutator's bump chunk (or None if it has not
-        // allocated since the flip), which sits at the tail where the cursor expects it.
-        self.allocated_words
-            .fetch_add(collected_words, Ordering::Relaxed);
+    /// Adds collected to-space chunks to this heap's chunk list without touching
+    /// its bump chunk (used by the incremental collector's finalize: the mutator has
+    /// been allocating fresh chunks into this heap since the roots-only pause, and
+    /// its current bump chunk must stay current). Counts as a collection.
+    pub fn adopt_collected_chunks(&self, mut collected: ChunkCursor) {
+        let (chunks, words) = collected.take();
+        self.with_cursor(|c| c.adopt(chunks, words));
         self.collections.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -257,10 +206,7 @@ impl Heap {
     /// [`Heap::replace_chunks`] this does not count as a collection; it is used by
     /// the runtimes to dispose of a completed run's heap tree before recycling.
     pub fn take_all_chunks(&self) -> Vec<ChunkId> {
-        let mut st = self.alloc.lock();
-        st.current = None;
-        self.allocated_words.store(0, Ordering::Relaxed);
-        std::mem::take(&mut st.chunks)
+        self.with_cursor(|c| c.take().0)
     }
 
     /// Point-in-time statistics.
@@ -272,90 +218,6 @@ impl Heap {
             promoted_in_words: self.promoted_in_words.load(Ordering::Relaxed),
             collections: self.collections.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// A batched allocation cursor on one heap (see [`Heap::batch_alloc`]): holds the
-/// heap's allocation mutex for its whole lifetime and bump-allocates with the same
-/// placement rules as [`Heap::alloc_obj`] (large objects get dedicated chunks without
-/// displacing the current bump chunk).
-pub struct BatchAlloc<'a> {
-    heap: &'a Heap,
-    store: &'a ChunkStore,
-    state: parking_lot::MutexGuard<'a, AllocState>,
-    /// The current bump chunk, held by reference so the per-object path performs no
-    /// chunk-table lookup (mirrors `state.current`).
-    current: Option<Arc<Chunk>>,
-    /// The most recent dedicated large-object chunk (kept so `alloc_for_copy` can
-    /// hand back a reference to the chunk the object landed in).
-    dedicated: Option<Arc<Chunk>>,
-    words: usize,
-}
-
-impl BatchAlloc<'_> {
-    /// Allocates one object with `header` in the session's heap, fully initialized
-    /// (pointer fields NULLed) as by [`Heap::alloc_obj`].
-    pub fn alloc(&mut self, header: Header) -> ObjPtr {
-        self.alloc_with(header, false).0
-    }
-
-    /// Allocates one object with `header`, initializing only the header and the
-    /// forwarding slot (see [`ChunkStore::alloc_in_chunk_for_copy`]): the caller
-    /// must store every field before the object becomes reachable. Returns the
-    /// pointer plus the chunk it landed in, so evacuation loops can build views
-    /// without a chunk-table lookup.
-    pub fn alloc_for_copy(&mut self, header: Header) -> (ObjPtr, &Arc<Chunk>) {
-        self.alloc_with(header, true)
-    }
-
-    fn alloc_with(&mut self, header: Header, for_copy: bool) -> (ObjPtr, &Arc<Chunk>) {
-        let size = header.size_words();
-        self.words += size;
-        if self.store.needs_dedicated_chunk(header) {
-            // Dedicated chunks never displace the bump chunk.
-            let (chunk, ptr) =
-                self.store
-                    .alloc_dedicated_for_run(self.heap.id.raw(), header, self.heap.run_tag);
-            self.state.chunks.push(chunk.id());
-            self.dedicated = Some(chunk);
-            return (ptr, self.dedicated.as_ref().expect("just set"));
-        }
-        if let Some(cur) = &self.current {
-            let res = if for_copy {
-                self.store.alloc_in_chunk_for_copy(cur, header)
-            } else {
-                self.store.alloc_in_chunk(cur, header)
-            };
-            if let Some(ptr) = res {
-                return (ptr, self.current.as_ref().expect("checked above"));
-            }
-        }
-        let chunk = self
-            .store
-            .alloc_chunk_for_run(self.heap.id.raw(), size, self.heap.run_tag);
-        let res = if for_copy {
-            self.store.alloc_in_chunk_for_copy(&chunk, header)
-        } else {
-            self.store.alloc_in_chunk(&chunk, header)
-        };
-        let ptr = res.expect("fresh chunk cannot be too small for the object it was sized for");
-        self.state.current = Some(chunk.id());
-        self.state.chunks.push(chunk.id());
-        self.current = Some(chunk);
-        (ptr, self.current.as_ref().expect("just set"))
-    }
-
-    /// Words allocated through this cursor so far.
-    pub fn allocated_words(&self) -> usize {
-        self.words
-    }
-}
-
-impl Drop for BatchAlloc<'_> {
-    fn drop(&mut self) {
-        self.heap
-            .allocated_words
-            .fetch_add(self.words, Ordering::Relaxed);
     }
 }
 
@@ -456,7 +318,7 @@ mod tests {
         for _ in 0..10 {
             h.alloc_obj(&store, header);
         }
-        let old = h.replace_chunks(vec![], 0);
+        let old = h.replace_chunks(ChunkCursor::new());
         assert!(!old.is_empty());
         assert_eq!(h.n_chunks(), 0);
         assert_eq!(h.allocated_words(), 0);
@@ -465,6 +327,26 @@ mod tests {
         let p = h.alloc_obj(&store, header);
         assert_eq!(store.view(p).n_fields(), 2);
         assert_eq!(h.n_chunks(), 1);
+    }
+
+    #[test]
+    fn flip_never_resumes_into_a_dedicated_chunk() {
+        let store = store(); // 64-word chunks
+        let h = Heap::new(HeapId(0), HeapId::NONE, 0);
+        // A to-space whose only survivor is a large object: no bump chunk.
+        let mut to_space = ChunkCursor::new();
+        let big = Header::new(100, 0, ObjKind::ArrayData);
+        let big = to_space.alloc(&store, 0, 0, big, Init::Full).ptr;
+        assert!(
+            store.chunk(big.chunk()).free() >= 4,
+            "dedicated chunk has slack"
+        );
+        h.replace_chunks(to_space);
+        // A small object sharing that chunk would be carried along, unscanned,
+        // when the next collection transfers the large object in place.
+        let small = h.alloc_obj(&store, Header::new(2, 0, ObjKind::Tuple));
+        assert_ne!(small.chunk(), big.chunk());
+        assert_eq!(h.n_chunks(), 2);
     }
 
     #[test]
@@ -481,41 +363,6 @@ mod tests {
         // Compression with a stale old value is a no-op.
         h.compress_merged_into(HeapId(2), HeapId(7));
         assert_eq!(h.merged_into(), HeapId(0));
-    }
-
-    #[test]
-    fn batch_alloc_matches_alloc_obj_placement() {
-        let store = store(); // 64-word chunks
-        let h = Heap::new(HeapId(0), HeapId::NONE, 0);
-        let small = Header::new(2, 0, ObjKind::Tuple); // 4 words
-        let big = Header::new(500, 0, ObjKind::ArrayData);
-        let mut ptrs = Vec::new();
-        {
-            let mut batch = h.batch_alloc(&store);
-            for _ in 0..10 {
-                ptrs.push(batch.alloc(small));
-            }
-            // A large object takes a dedicated chunk without displacing the bump chunk…
-            let huge = batch.alloc(big);
-            let after = batch.alloc(small);
-            assert_eq!(
-                after.chunk(),
-                ptrs.last().unwrap().chunk(),
-                "bump chunk abandoned by the large-object detour"
-            );
-            assert_ne!(huge.chunk(), after.chunk());
-            assert_eq!(batch.allocated_words(), 11 * 4 + big.size_words());
-            ptrs.push(huge);
-            ptrs.push(after);
-        }
-        // Words are published when the cursor drops; objects are live and distinct.
-        assert_eq!(h.allocated_words(), 11 * 4 + big.size_words());
-        ptrs.sort();
-        ptrs.dedup();
-        assert_eq!(ptrs.len(), 12);
-        // Ordinary allocation continues from the batch's bump chunk.
-        let next = h.alloc_obj(&store, small);
-        assert_eq!(store.view(next).n_fields(), 2);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! * [`HeapRegistry::new_child_heap`] / [`HeapRegistry::join_heap`] grow and shrink the
 //!   hierarchy as tasks fork and join (`newChildHeap` / `joinHeap`);
 //! * [`HeapRegistry::depth`] gives a heap's depth (`depth`);
-//! * [`Heap::alloc_obj`] allocates a fresh object inside a specific heap (`freshObj`);
+//! * [`Heap::alloc_obj`] allocates a fresh object inside a specific heap (`freshObj`)
+//!   through the heap's [`hh_objmodel::ChunkCursor`] — the one bump allocator every
+//!   runtime shares; promotion holds the same cursor for a whole pass through
+//!   [`Heap::with_cursor`];
 //! * [`HeapRegistry::heap_of`] maps an object pointer back to its (current) heap
 //!   (`heapOf`), resolving any number of joins in (amortized) constant time;
 //! * every heap carries a readers–writer lock ([`HeapRwLock`]) used by the mutation and
@@ -27,7 +30,7 @@ pub mod id;
 pub mod registry;
 pub mod rwlock;
 
-pub use heap::{BatchAlloc, Heap, HeapStats};
+pub use heap::{Heap, HeapStats};
 pub use id::HeapId;
 pub use registry::{EntanglementViolation, HeapRegistry};
 pub use rwlock::HeapRwLock;

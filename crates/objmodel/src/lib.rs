@@ -16,7 +16,9 @@
 //!   for address-mask metadata lookup) **plus the chunk memory lifecycle**: retired
 //!   chunks are quarantined, reclaimed into size-classed lock-free free lists at the
 //!   reuse horizon, and served back out through per-thread allocation caches (memory
-//!   v2, DESIGN.md §5), and
+//!   v2, DESIGN.md §5),
+//! * a [`ChunkCursor`] is the one bump allocator over an owned chunk list — heaps,
+//!   flat baseline lanes and collector to-spaces all allocate through it — and
 //! * an [`ObjView`] gives structured access to one object: its [`Header`], its dedicated
 //!   forwarding-pointer slot, and its pointer / non-pointer fields.
 //!
@@ -33,6 +35,7 @@
 
 pub mod appendvec;
 pub mod chunk;
+pub mod cursor;
 pub mod epoch;
 pub mod header;
 pub mod objptr;
@@ -41,6 +44,7 @@ pub mod view;
 
 pub use appendvec::AppendVec;
 pub use chunk::{Chunk, ChunkForensics, ChunkGcState, ChunkId, GC_MAX_ZONE_SLOTS, RAW_HEAP_NONE};
+pub use cursor::{ChunkCursor, Init, Placed, Taken};
 pub use epoch::RunEpochs;
 pub use header::{Header, ObjKind};
 pub use objptr::ObjPtr;

@@ -437,35 +437,11 @@ impl ChunkStore {
     }
 
     /// True if an object with `header` needs a dedicated chunk (it does not fit a
-    /// default-sized one).
+    /// default-sized one). [`crate::ChunkCursor::alloc`] gives such an object a chunk
+    /// of its own; the collector transfers a live one wholesale instead of copying.
     #[inline]
     pub fn needs_dedicated_chunk(&self, header: Header) -> bool {
         header.size_words() > self.default_chunk_words
-    }
-
-    /// Allocates a dedicated chunk for one large object and the object inside it,
-    /// returning both. Callers splice the chunk into their own chunk list *without*
-    /// making it the current bump chunk, so a large-object detour never abandons a
-    /// partially filled chunk (the shared body of the large-object paths in
-    /// `Heap::alloc_obj`, `FlatHeap::alloc`, and both collectors' to-space
-    /// allocators).
-    pub fn alloc_dedicated(&self, owner: u32, header: Header) -> (Arc<Chunk>, ObjPtr) {
-        self.alloc_dedicated_for_run(owner, header, 0)
-    }
-
-    /// As [`ChunkStore::alloc_dedicated`], attributed to the run holding `run_tag`
-    /// (see [`ChunkStore::alloc_chunk_for_run`]).
-    pub fn alloc_dedicated_for_run(
-        &self,
-        owner: u32,
-        header: Header,
-        run_tag: u64,
-    ) -> (Arc<Chunk>, ObjPtr) {
-        let chunk = self.alloc_chunk_for_run(owner, header.size_words(), run_tag);
-        let ptr = self
-            .alloc_in_chunk(&chunk, header)
-            .expect("dedicated chunk too small for the object it was sized for");
-        (chunk, ptr)
     }
 
     /// Looks up a chunk by id.
@@ -653,27 +629,6 @@ impl ChunkStore {
         ObjView::new(chunk, ptr.offset())
     }
 
-    /// Allocates an object with the given header inside `chunk`, returning its pointer,
-    /// or `None` if the chunk is full.
-    pub fn alloc_in_chunk(&self, chunk: &Chunk, header: Header) -> Option<ObjPtr> {
-        let off = chunk.try_bump(header.size_words())?;
-        let ptr = ObjPtr::new(chunk.id(), off);
-        let view = ObjView::new(chunk, off);
-        view.init(header);
-        Some(ptr)
-    }
-
-    /// As [`ChunkStore::alloc_in_chunk`], but initializes only the header and the
-    /// forwarding slot, leaving the fields as the chunk's raw words (see
-    /// [`ObjView::init_for_copy`]). For evacuation-style copies that overwrite every
-    /// field before publishing the object; skips one store per pointer field.
-    pub fn alloc_in_chunk_for_copy(&self, chunk: &Chunk, header: Header) -> Option<ObjPtr> {
-        let off = chunk.try_bump(header.size_words())?;
-        let ptr = ObjPtr::new(chunk.id(), off);
-        ObjView::new(chunk, off).init_for_copy(header);
-        Some(ptr)
-    }
-
     /// Raw heap id recorded on the chunk containing `ptr` (the heap the object was
     /// *allocated* into; the heap registry resolves merges on top of this).
     #[inline]
@@ -738,6 +693,7 @@ impl Default for ChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::Init;
     use crate::header::ObjKind;
     use std::sync::Arc as StdArc;
 
@@ -763,7 +719,7 @@ mod tests {
         let store = ChunkStore::new(1024);
         let c = store.alloc_chunk(0, 0);
         let h = Header::new(3, 1, ObjKind::Tuple);
-        let p = store.alloc_in_chunk(&c, h).unwrap();
+        let p = Init::Full.place(&c, h).unwrap();
         let v = store.view(p);
         assert_eq!(v.n_fields(), 3);
         assert_eq!(v.n_ptr(), 1);
@@ -777,7 +733,7 @@ mod tests {
         let c = store.alloc_chunk(0, 0);
         let h = Header::new(2, 0, ObjKind::Tuple); // 4 words
         let mut count = 0;
-        while store.alloc_in_chunk(&c, h).is_some() {
+        while Init::Full.place(&c, h).is_some() {
             count += 1;
         }
         assert_eq!(count, 4);
@@ -808,8 +764,8 @@ mod tests {
     fn chunk_owner_reflects_allocation_heap() {
         let store = ChunkStore::new(64);
         let c = store.alloc_chunk(42, 0);
-        let p = store
-            .alloc_in_chunk(&c, Header::new(1, 0, ObjKind::Ref))
+        let p = Init::Full
+            .place(&c, Header::new(1, 0, ObjKind::Ref))
             .unwrap();
         assert_eq!(store.chunk_owner(p), 42);
     }
@@ -856,8 +812,8 @@ mod tests {
         let store = ChunkStore::new(128);
         let held = drain_cache(&store);
         let a = StdArc::clone(&held[0]);
-        let p = store
-            .alloc_in_chunk(&a, Header::new(2, 0, ObjKind::Tuple))
+        let p = Init::Full
+            .place(&a, Header::new(2, 0, ObjKind::Tuple))
             .unwrap();
         store.view(p).set_field(0, 7);
         let gen_before = a.generation();
@@ -1117,7 +1073,7 @@ mod tests {
             let mut stale: Vec<ObjPtr> = Vec::new();
             loop {
                 let fields = 1 + (next() % 6) as usize;
-                let Some(p) = store.alloc_in_chunk(&chunk, Header::new(fields, 0, ObjKind::Tuple))
+                let Some(p) = Init::Full.place(&chunk, Header::new(fields, 0, ObjKind::Tuple))
                 else {
                     break;
                 };

@@ -86,7 +86,7 @@ impl<'a> ObjView<'a> {
     /// **uninitialized** (whatever the chunk held — zero bits on a fresh or recycled
     /// chunk, which is *not* [`ObjPtr::NULL`]).
     ///
-    /// For evacuation-style copies only ([`crate::ChunkStore::alloc_in_chunk_for_copy`]):
+    /// For evacuation-style copies only ([`crate::Init::Copy`]):
     /// the caller must store every field before any other thread can reach the
     /// object. Promotion satisfies this by holding the target heap's WRITE lock
     /// until the copy is fully filled in; collections run on quiescent zones.

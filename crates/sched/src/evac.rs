@@ -5,16 +5,18 @@
 //!
 //! GC v2 (PR 5) grew this machinery twice — once per collector — and its
 //! trigger-preregistration race had to be fixed in both copies. The engine
-//! factors the duplicated ~1.7k lines down to one parameterized implementation:
-//! an [`EvacZone`] maps *zone slots* (the `u16` carried by from-space chunk
-//! tags, see [`hh_objmodel::ChunkGcState`]) to to-space allocation — per-heap
-//! slots for the hierarchical runtime, a single slot for the flat baselines.
-//! Everything else is identical between the two collectors and lives here:
+//! factors the duplicated ~1.7k lines down to one parameterized implementation.
+//! The only parameter is the *zone*: per zone slot (the `u16` carried by
+//! from-space chunk tags, see [`hh_objmodel::ChunkGcState`]), the raw owner id
+//! and run tag that slot's to-space chunks carry — one slot per heap for the
+//! hierarchical runtime, a single slot for the flat baselines. Everything else
+//! is identical between the two collectors and lives here:
 //!
 //! * **per-member to-space cursors** — each team member bump-allocates copies
-//!   into private chunks ([`EvacZone::alloc_chunk`]) which the engine stamps
-//!   `ToSpace` for this collection's epoch, so membership tests stay one atomic
-//!   chunk-metadata load;
+//!   into private chunks through its own [`ChunkCursor`] per slot; the engine
+//!   stamps every chunk a cursor takes `ToSpace` for this collection's epoch
+//!   (before the forwarding install publishes a copy in it), so membership
+//!   tests stay one atomic chunk-metadata load;
 //! * **scan blocks** — contiguous spans of fully written copies, published on a
 //!   per-member Chase–Lev [`SpanDeque`] once [`SCAN_BLOCK_WORDS`] accumulate;
 //!   idle members steal blocks from busy ones, wavefront-style;
@@ -61,7 +63,10 @@
 
 use crate::queue::{Span, SpanDeque};
 use crate::team::TeamSync;
-use hh_objmodel::{Chunk, ChunkGcState, ChunkId, ChunkStore, Header, ObjPtr, ObjView, OFF_FIELDS};
+use hh_objmodel::{
+    Chunk, ChunkCursor, ChunkGcState, ChunkId, ChunkStore, Header, Init, ObjPtr, ObjView, Taken,
+    OFF_FIELDS,
+};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -110,46 +115,20 @@ fn unpack_span(span: Span) -> (ChunkId, u32, u32) {
     (ChunkId((span.0 >> 32) as u32), span.0 as u32, span.1 as u32)
 }
 
-/// The slot-to-heap mapping of one collection zone: how to-space memory is
-/// allocated for each zone slot (the `u16` stamped into from-space chunk tags).
-///
-/// The hierarchical runtime implements this with one slot per zone heap (so a
-/// subtree collection preserves each survivor's placement in the hierarchy);
-/// the flat baselines implement it with a single slot backed by one global
-/// heap. The engine stamps every returned chunk `ToSpace` for the collection's
-/// epoch, so implementations only allocate.
-pub trait EvacZone: Send + Sync {
-    /// Number of zone slots (heaps being evacuated). From-space tags carry
-    /// slots in `0..n_slots()`.
-    fn n_slots(&self) -> usize;
-
-    /// Allocates a dedicated large-object chunk for `header` on behalf of
-    /// `slot`, returning the chunk and the object pointer placed in it.
-    fn alloc_dedicated(&self, slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr);
-
-    /// Allocates a fresh to-space bump chunk of at least `min_words` usable
-    /// words on behalf of `slot`.
-    fn alloc_chunk(&self, slot: u16, min_words: usize) -> Arc<Chunk>;
-}
-
-/// One member's private to-space state for one zone slot.
+/// One member's private to-space for one zone slot: a bump cursor plus the
+/// scan bookkeeping of its current chunk.
 #[derive(Default)]
 struct ToCursor {
-    /// Chunks this member allocated for the slot, in allocation order.
-    chunks: Vec<ChunkId>,
-    /// Current bump chunk, held by `Arc` so the per-copy path performs no
-    /// chunk-table lookup.
-    current: Option<Arc<Chunk>>,
-    /// End offset of the last fully written copy in `current`. Everything
-    /// below it is walkable: completed survivors or scrubbed race-loser
-    /// fillers.
+    /// The slot's to-space chunks this member took, and their words (survivors
+    /// plus race-loser fillers — the slot's post-collection allocation volume).
+    cursor: ChunkCursor,
+    /// End offset of the last fully written copy in the current chunk.
+    /// Everything below it is walkable: completed survivors or scrubbed
+    /// race-loser fillers.
     filled: u32,
-    /// Offset up to which spans of `current` have been handed out for
+    /// Offset up to which spans of the current chunk have been handed out for
     /// scanning.
     scanned: u32,
-    /// Words occupied in this to-space (survivors plus race-loser fillers) —
-    /// the slot's post-collection allocation volume.
-    words: usize,
 }
 
 /// One member's collection state: per-slot to-space cursors plus statistics.
@@ -169,11 +148,12 @@ struct EvacWorker {
     rng: u64,
 }
 
-/// Merged result of one evacuation: per-slot chunk lists plus statistics.
+/// Merged result of one evacuation: per-slot to-spaces plus statistics.
 pub struct EvacOutcome {
-    /// Per zone slot: the to-space chunk list (a partially filled bump chunk
-    /// last, so heaps resume allocation from it) and the words occupying it.
-    pub per_slot: Vec<(Vec<ChunkId>, usize)>,
+    /// Per zone slot: the merged to-space cursor — its chunks, the words
+    /// occupying them, and a partially filled current chunk (if any member left
+    /// one) from which the heap resumes allocation.
+    pub per_slot: Vec<ChunkCursor>,
     /// Words of live data copied (survivors; excludes evacuation-race waste).
     pub copied_words: u64,
     /// Words of live large objects promoted in place (their dedicated chunks
@@ -190,8 +170,9 @@ pub struct EvacOutcome {
 /// The evacuation engine: shared state of one collection, driven either by a
 /// synchronous team or incrementally under running mutators (see the module
 /// docs).
-pub struct EvacEngine<Z: EvacZone> {
-    zone: Z,
+pub struct EvacEngine {
+    /// Per zone slot: the raw owner id and run tag of its to-space chunks.
+    zone: Vec<(u32, u64)>,
     store: Arc<ChunkStore>,
     /// This collection's epoch (chunk tags are tested against it).
     epoch: u64,
@@ -227,8 +208,9 @@ pub struct EvacEngine<Z: EvacZone> {
     barrier_inflight: AtomicUsize,
 }
 
-impl<Z: EvacZone> EvacEngine<Z> {
-    /// Creates the engine for one collection over `zone`.
+impl EvacEngine {
+    /// Creates the engine for one collection over `zone`: per zone slot, the
+    /// raw owner id and run tag that slot's to-space chunks are allocated for.
     ///
     /// `members` is the team size (slot 0 is the trigger); a
     /// `mutator_concurrent` engine gets one extra hidden slot through which
@@ -238,12 +220,12 @@ impl<Z: EvacZone> EvacEngine<Z> {
     /// alone must not be able to terminate the team before the roots have
     /// seeded the wavefront.
     pub fn new(
-        zone: Z,
+        zone: Vec<(u32, u64)>,
         store: Arc<ChunkStore>,
         epoch: u64,
         members: usize,
         mutator_concurrent: bool,
-    ) -> EvacEngine<Z> {
+    ) -> EvacEngine {
         let n_slots = members + usize::from(mutator_concurrent);
         EvacEngine {
             zone,
@@ -281,7 +263,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
     }
 
     fn init_worker(&self, w: &mut EvacWorker, slot: usize) {
-        w.tos.resize_with(self.zone.n_slots(), ToCursor::default);
+        w.tos.resize_with(self.zone.len(), ToCursor::default);
         w.rng = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(slot as u64 + 1) | 1;
     }
 
@@ -289,9 +271,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
 
     /// Allocates a copy of `header` in `w`'s to-space for zone slot `slot`,
     /// returning the pointer, the chunk it landed in, and whether that chunk is
-    /// a dedicated large-object chunk. Mirrors the placement rules of heap
-    /// allocation: large objects get dedicated chunks without displacing the
-    /// bump chunk.
+    /// a dedicated large-object chunk.
     fn alloc_to(
         &self,
         w: &mut EvacWorker,
@@ -299,39 +279,33 @@ impl<Z: EvacZone> EvacEngine<Z> {
         slot: u16,
         header: Header,
     ) -> (ObjPtr, Arc<Chunk>, bool) {
+        let (owner, run_tag) = self.zone[slot as usize];
         let to = &mut w.tos[slot as usize];
-        let size = header.size_words();
-        to.words += size;
-        if self.store.needs_dedicated_chunk(header) {
-            let (chunk, ptr) = self.zone.alloc_dedicated(slot, header);
-            chunk.set_gc_to_space(self.epoch, slot);
-            to.chunks.push(chunk.id());
-            return (ptr, chunk, true);
-        }
-        if let Some(cur) = &to.current {
-            if let Some(ptr) = self.store.alloc_in_chunk_for_copy(cur, header) {
-                return (ptr, Arc::clone(cur), false);
+        let placed = to
+            .cursor
+            .alloc(&self.store, owner, run_tag, header, Init::Copy);
+        let chunk = Arc::clone(placed.chunk);
+        let dedicated = match placed.taken {
+            Taken::Bump => return (placed.ptr, chunk, false),
+            Taken::Dedicated => true,
+            Taken::Refill(prev) => {
+                // Flush the old chunk's unscanned tail — `take_tail` only looks
+                // at the *current* chunk, so scan work left behind in a
+                // replaced chunk would otherwise be lost.
+                if let Some(prev) = prev {
+                    if to.filled > to.scanned {
+                        self.deques[my_slot].push(pack_span(prev.id(), to.scanned, to.filled));
+                    }
+                }
+                to.filled = 0;
+                to.scanned = 0;
+                false
             }
-        }
-        // Current chunk absent or full: open a new one. Flush the old chunk's
-        // unscanned tail first — `take_tail` only looks at the *current* chunk,
-        // so scan work left behind in a retired cursor would otherwise be lost.
-        if let Some(prev) = &to.current {
-            if to.filled > to.scanned {
-                self.deques[my_slot].push(pack_span(prev.id(), to.scanned, to.filled));
-            }
-        }
-        let chunk = self.zone.alloc_chunk(slot, size);
+        };
+        // A chunk new to this to-space: stamp it before the forwarding install
+        // publishes the copy in it.
         chunk.set_gc_to_space(self.epoch, slot);
-        to.chunks.push(chunk.id());
-        to.current = Some(Arc::clone(&chunk));
-        to.filled = 0;
-        to.scanned = 0;
-        let ptr = self
-            .store
-            .alloc_in_chunk_for_copy(&chunk, header)
-            .expect("fresh to-space chunk too small for the object it was sized for");
-        (ptr, chunk, false)
+        (placed.ptr, chunk, dedicated)
     }
 
     /// Publishes the pointer-field prefix of a large object (one alone in its
@@ -374,7 +348,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
         debug_assert_eq!(to.filled, copy.offset(), "out-of-order copy completion");
         to.filled = copy.offset() + size as u32;
         if to.filled - to.scanned >= SCAN_BLOCK_WORDS {
-            let chunk = to.current.as_ref().expect("completing into no chunk").id();
+            let chunk = to.cursor.current().expect("completing into no chunk").id();
             self.deques[my_slot].push(pack_span(chunk, to.scanned, to.filled));
             to.scanned = to.filled;
         }
@@ -439,9 +413,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
                         chunk.set_gc_from_space(self.epoch, heap_slot);
                         continue;
                     }
-                    let to = &mut w.tos[heap_slot as usize];
-                    to.words += size;
-                    to.chunks.push(cur.chunk());
+                    w.tos[heap_slot as usize].cursor.adopt([cur.chunk()], size);
                     w.inplace_words += size as u64;
                     self.push_ptr_prefix_spans(my_slot, cur, header.n_ptr());
                     return cur;
@@ -570,7 +542,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
     fn take_tail(w: &mut EvacWorker) -> Option<Span> {
         for to in w.tos.iter_mut() {
             if to.filled > to.scanned {
-                let chunk = to.current.as_ref().expect("filled words without a chunk");
+                let chunk = to.cursor.current().expect("filled words without a chunk");
                 let span = pack_span(chunk.id(), to.scanned, to.filled);
                 to.scanned = to.filled;
                 return Some(span);
@@ -758,7 +730,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
             self.drain_inflight.fetch_sub(1, Ordering::SeqCst);
             return false;
         };
-        if w.tos.len() != self.zone.n_slots() {
+        if w.tos.len() != self.zone.len() {
             self.init_worker(&mut w, slot);
         }
         let mut budget = budget_words;
@@ -808,7 +780,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
         }
         let slot = self.barrier_slot();
         let mut w = self.slots[slot].lock();
-        if w.tos.len() != self.zone.n_slots() {
+        if w.tos.len() != self.zone.len() {
             self.init_worker(&mut w, slot);
         }
         let res = self.forward(&mut w, slot, obj);
@@ -845,7 +817,7 @@ impl<Z: EvacZone> EvacEngine<Z> {
     /// Solo-drains the whole wavefront (own deque, tails, steals) on slot 0.
     fn drain_solo(&self) {
         let mut w = self.slots[0].lock();
-        if w.tos.len() != self.zone.n_slots() {
+        if w.tos.len() != self.zone.len() {
             self.init_worker(&mut w, 0);
         }
         loop {
@@ -919,11 +891,10 @@ impl<Z: EvacZone> EvacEngine<Z> {
 
     // --- Merging. ------------------------------------------------------------
 
-    /// Merges every member's to-spaces into per-slot chunk lists. Within each
-    /// slot, *a* partially filled bump chunk is moved to the end of the list —
-    /// it becomes the heap's resume point; other members' partial chunks keep
-    /// their unused tails (bounded internal fragmentation, reclaimed at the
-    /// next collection).
+    /// Merges every member's to-spaces into one cursor per slot. Each slot
+    /// resumes from *a* member's partially filled current chunk; other members'
+    /// partial chunks keep their unused tails (bounded internal fragmentation,
+    /// reclaimed at the next collection).
     ///
     /// Call after [`EvacEngine::await_team`] (synchronous mode) or
     /// [`EvacEngine::finalize`] (incremental mode); the engine must be
@@ -933,30 +904,23 @@ impl<Z: EvacZone> EvacEngine<Z> {
             self.roots_seeded.load(Ordering::Acquire),
             "merging an evacuation whose roots were never seeded"
         );
-        let n_slots = self.zone.n_slots();
         let mut copied_words = 0u64;
         let mut inplace_words = 0u64;
         let mut waste_words = 0u64;
-        let mut occupied_words = 0u64;
         let mut steal_blocks = 0u64;
-        let mut per_slot: Vec<(Vec<ChunkId>, usize, Option<ChunkId>)> =
-            (0..n_slots).map(|_| (Vec::new(), 0, None)).collect();
+        let mut per_slot: Vec<ChunkCursor> =
+            (0..self.zone.len()).map(|_| ChunkCursor::new()).collect();
         for slot in self.slots.iter() {
             let mut w = slot.lock();
             copied_words += w.copied_words;
             inplace_words += w.inplace_words;
             waste_words += w.waste_words;
             steal_blocks += w.steal_blocks;
-            for (si, to) in w.tos.iter_mut().enumerate() {
-                let merged = &mut per_slot[si];
-                merged.0.append(&mut to.chunks);
-                merged.1 += to.words;
-                occupied_words += to.words as u64;
-                if let Some(cur) = to.current.take() {
-                    merged.2 = Some(cur.id());
-                }
+            for (merged, to) in per_slot.iter_mut().zip(w.tos.iter_mut()) {
+                merged.merge(std::mem::take(&mut to.cursor));
             }
         }
+        let occupied_words = per_slot.iter().map(|c| c.words() as u64).sum();
         // To-space conservation: every occupying word is a copied survivor, an
         // in-place-promoted survivor, or an evacuation-race filler.
         debug_assert_eq!(
@@ -964,26 +928,6 @@ impl<Z: EvacZone> EvacEngine<Z> {
             occupied_words,
             "to-space words unaccounted for"
         );
-        let per_slot = per_slot
-            .into_iter()
-            .map(|(mut chunks, words, partial)| {
-                // Resume-point invariant: heaps bump-allocate from the *last*
-                // chunk of the list, so make sure that is a partially filled
-                // bump chunk, not a full or dedicated chunk that happened to be
-                // merged after it. Constant-time swap_remove — the list is
-                // otherwise unordered, and the common single-member case
-                // already has the bump chunk last.
-                if let Some(cur) = partial {
-                    if chunks.last() != Some(&cur) {
-                        if let Some(pos) = chunks.iter().position(|&c| c == cur) {
-                            chunks.swap_remove(pos);
-                            chunks.push(cur);
-                        }
-                    }
-                }
-                (chunks, words)
-            })
-            .collect();
         EvacOutcome {
             per_slot,
             copied_words,
@@ -1012,49 +956,48 @@ mod tests {
         assert_eq!(unpack_span(raw), (ChunkId(7), 12, 400));
     }
 
-    /// A single-slot zone over one owner — the flat baselines' shape, reused
-    /// here to exercise the engine without a heap hierarchy.
-    struct TestZone {
-        store: Arc<ChunkStore>,
+    /// Builds a cons list of `n` cells owned by `owner`, tags `n-1 ..= 0` from
+    /// the head. With `array_every = Some(k)` every cell's first field points at
+    /// a side object whose one pointer field holds a 1-field leaf carrying the
+    /// cell's tag: a large pointer array (a chunk of its own) for every `k`-th
+    /// cell, a small box otherwise. Returns the chunks and the list head.
+    fn build_list(
+        store: &Arc<ChunkStore>,
         owner: u32,
-        hint: usize,
-    }
-
-    impl EvacZone for TestZone {
-        fn n_slots(&self) -> usize {
-            1
-        }
-        fn alloc_dedicated(&self, _slot: u16, header: Header) -> (Arc<Chunk>, ObjPtr) {
-            self.store.alloc_dedicated(self.owner, header)
-        }
-        fn alloc_chunk(&self, _slot: u16, min_words: usize) -> Arc<Chunk> {
-            self.store.alloc_chunk(self.owner, min_words.max(self.hint))
-        }
-    }
-
-    fn build_list(store: &Arc<ChunkStore>, owner: u32, n: u64) -> (Vec<ChunkId>, ObjPtr) {
-        let mut chunks = Vec::new();
-        let mut cur_chunk: Option<Arc<Chunk>> = None;
+        n: u64,
+        array_every: Option<u64>,
+    ) -> (Vec<ChunkId>, ObjPtr) {
+        let mut cursor = ChunkCursor::new();
+        let mut alloc = |h: Header| cursor.alloc(store, owner, 0, h, Init::Full).ptr;
         let mut list = ObjPtr::NULL;
         for i in 0..n {
-            let header = Header::new(3, 2, ObjKind::Cons);
-            let ptr = loop {
-                if let Some(c) = &cur_chunk {
-                    if let Some(p) = store.alloc_in_chunk(c, header) {
-                        break p;
-                    }
-                }
-                let c = store.alloc_chunk(owner, header.size_words());
-                chunks.push(c.id());
-                cur_chunk = Some(c);
-            };
-            let v = store.view(ptr);
-            v.set_field_ptr(0, ObjPtr::NULL);
-            v.set_field_ptr(1, list);
-            v.set_field(2, i);
-            list = ptr;
+            let cell = alloc(Header::new(3, 2, ObjKind::Cons));
+            if let Some(k) = array_every {
+                let leaf = alloc(Header::new(1, 0, ObjKind::Tuple));
+                store.view(leaf).set_field(0, i);
+                let side = if i % k == 0 {
+                    let len = store.default_chunk_words() + 8;
+                    alloc(Header::new(len, 1, ObjKind::ArrayPtr))
+                } else {
+                    alloc(Header::new(1, 1, ObjKind::Ref))
+                };
+                store.view(side).set_field_ptr(0, leaf);
+                store.view(cell).set_field_ptr(0, side);
+            }
+            store.view(cell).set_field_ptr(1, list);
+            store.view(cell).set_field(2, i);
+            list = cell;
         }
-        (chunks, list)
+        (cursor.take().0, list)
+    }
+
+    /// Stamps `chunks` from-space (slot 0) for a fresh collection epoch.
+    fn stamp_from_space(store: &ChunkStore, chunks: &[ChunkId]) -> u64 {
+        let epoch = store.next_gc_epoch();
+        for &c in chunks {
+            store.chunk(c).set_gc_from_space(epoch, 0);
+        }
+        epoch
     }
 
     fn walk_tags(store: &Arc<ChunkStore>, mut cur: ObjPtr) -> Vec<u64> {
@@ -1071,22 +1014,9 @@ mod tests {
     fn solo_synchronous_evacuation_preserves_the_graph() {
         let store = Arc::new(ChunkStore::new(256));
         let owner = 9;
-        let (chunks, list) = build_list(&store, owner, 5);
-        let epoch = store.next_gc_epoch();
-        for &c in &chunks {
-            store.chunk(c).set_gc_from_space(epoch, 0);
-        }
-        let engine = EvacEngine::new(
-            TestZone {
-                store: Arc::clone(&store),
-                owner,
-                hint: 256,
-            },
-            Arc::clone(&store),
-            epoch,
-            1,
-            false,
-        );
+        let (chunks, list) = build_list(&store, owner, 5, None);
+        let epoch = stamp_from_space(&store, &chunks);
+        let engine = EvacEngine::new(vec![(owner, 0)], Arc::clone(&store), epoch, 1, false);
         let roots = Mutex::new(vec![list]);
         engine.run_trigger(|fwd| {
             for r in roots.lock().iter_mut() {
@@ -1098,7 +1028,7 @@ mod tests {
         assert_eq!(outcome.copied_words, 5 * 5);
         assert_eq!(outcome.waste_words, 0);
         assert_eq!(outcome.per_slot.len(), 1);
-        assert_eq!(outcome.per_slot[0].1, 25);
+        assert_eq!(outcome.per_slot[0].words(), 25);
         let new_root = roots.lock()[0];
         assert_ne!(new_root, list);
         assert_eq!(walk_tags(&store, new_root), vec![4, 3, 2, 1, 0]);
@@ -1108,22 +1038,9 @@ mod tests {
     fn incremental_evacuation_drains_in_bounded_slices() {
         let store = Arc::new(ChunkStore::new(256));
         let owner = 11;
-        let (chunks, list) = build_list(&store, owner, 200);
-        let epoch = store.next_gc_epoch();
-        for &c in &chunks {
-            store.chunk(c).set_gc_from_space(epoch, 0);
-        }
-        let engine = EvacEngine::new(
-            TestZone {
-                store: Arc::clone(&store),
-                owner,
-                hint: 256,
-            },
-            Arc::clone(&store),
-            epoch,
-            1,
-            true,
-        );
+        let (chunks, list) = build_list(&store, owner, 200, None);
+        let epoch = stamp_from_space(&store, &chunks);
+        let engine = EvacEngine::new(vec![(owner, 0)], Arc::clone(&store), epoch, 1, true);
         let roots = Mutex::new(vec![list]);
         engine.seed_roots(|fwd| {
             for r in roots.lock().iter_mut() {
@@ -1151,22 +1068,9 @@ mod tests {
     fn barrier_forward_evacuates_on_access_and_bounces_after_retirement() {
         let store = Arc::new(ChunkStore::new(256));
         let owner = 13;
-        let (chunks, list) = build_list(&store, owner, 3);
-        let epoch = store.next_gc_epoch();
-        for &c in &chunks {
-            store.chunk(c).set_gc_from_space(epoch, 0);
-        }
-        let engine = EvacEngine::new(
-            TestZone {
-                store: Arc::clone(&store),
-                owner,
-                hint: 256,
-            },
-            Arc::clone(&store),
-            epoch,
-            1,
-            true,
-        );
+        let (chunks, list) = build_list(&store, owner, 3, None);
+        let epoch = stamp_from_space(&store, &chunks);
+        let engine = EvacEngine::new(vec![(owner, 0)], Arc::clone(&store), epoch, 1, true);
         let roots = Mutex::new(vec![list]);
         engine.seed_roots(|fwd| {
             for r in roots.lock().iter_mut() {
@@ -1181,5 +1085,88 @@ mod tests {
         assert_eq!(engine.barrier_forward(list), None, "retired engine bounces");
         let outcome = engine.merge();
         assert_eq!(outcome.copied_words, 3 * 5);
+    }
+
+    /// Survivors that span several to-space chunks, with large arrays in
+    /// between: every refill must flush the replaced chunk's unscanned tail
+    /// (a lost tail leaves its objects' fields pointing into from-space), and
+    /// a large object copied out of a retired chunk must land in a dedicated
+    /// to-space chunk without displacing the member's bump chunk.
+    #[test]
+    fn evacuation_spans_chunks_and_copies_large_objects_to_dedicated_chunks() {
+        let store = Arc::new(ChunkStore::new(64));
+        let owner = 17;
+        let n = 60;
+        let (chunks, list) = build_list(&store, owner, n, Some(7));
+        let array_words = Header::new(64 + 8, 1, ObjKind::ArrayPtr).size_words();
+        // Arrays sitting in retired chunks (quarantine rescues) are copied;
+        // the others are promoted in place. Retire every other one.
+        let mut copied_arrays = 0;
+        let mut cur = list;
+        while !cur.is_null() {
+            let side = store.view(cur).field_ptr(0);
+            if store.view(side).n_fields() > 1 && store.view(cur).field(2).is_multiple_of(14) {
+                store.retire_chunk(side.chunk());
+                copied_arrays += 1;
+            }
+            cur = store.view(cur).field_ptr(1);
+        }
+        assert!(copied_arrays > 0);
+        let epoch = stamp_from_space(&store, &chunks);
+        let engine = EvacEngine::new(vec![(owner, 0)], Arc::clone(&store), epoch, 1, false);
+        let roots = Mutex::new(vec![list]);
+        engine.run_trigger(|fwd| {
+            for r in roots.lock().iter_mut() {
+                *r = fwd(*r);
+            }
+        });
+        engine.await_team();
+        let outcome = engine.merge();
+        let n_arrays = n.div_ceil(7);
+        let small_words = n * (5 + 3) + (n - n_arrays) * 3;
+        assert_eq!(
+            outcome.copied_words as usize,
+            small_words as usize + copied_arrays * array_words
+        );
+        assert_eq!(
+            outcome.inplace_words as usize,
+            (n_arrays as usize - copied_arrays) * array_words
+        );
+        let to_space = &outcome.per_slot[0];
+        let bump = to_space
+            .current()
+            .expect("small copies leave a bump chunk")
+            .id();
+        let in_to_space =
+            |p: ObjPtr| store.chunk(p.chunk()).gc_state(epoch) == ChunkGcState::ToSpace(0);
+        let mut small_chunks = std::collections::HashSet::new();
+        let mut dedicated_copies = 0;
+        let mut cur = roots.lock()[0];
+        let mut tag = n;
+        while !cur.is_null() {
+            tag -= 1;
+            let cell = store.view(cur);
+            assert_eq!(cell.field(2), tag);
+            assert!(in_to_space(cur), "cell {tag} left in from-space");
+            small_chunks.insert(cur.chunk());
+            let side = cell.field_ptr(0);
+            assert!(in_to_space(side), "side object of cell {tag} not forwarded");
+            let leaf = store.view(side).field_ptr(0);
+            assert!(in_to_space(leaf), "side object of cell {tag} never scanned");
+            assert_eq!(store.view(leaf).field(0), tag);
+            if store.view(side).n_fields() > 1 {
+                assert_ne!(side.chunk(), bump, "large copy displaced the bump chunk");
+                assert_eq!(side.offset(), 0, "large object shares its chunk");
+                dedicated_copies += usize::from(!chunks.contains(&side.chunk()));
+            }
+            cur = cell.field_ptr(1);
+        }
+        assert_eq!(tag, 0);
+        assert!(small_chunks.len() >= 3, "survivors fit one chunk");
+        assert_eq!(dedicated_copies, copied_arrays);
+        for &c in to_space.chunks() {
+            assert_eq!(store.chunk(c).gc_state(epoch), ChunkGcState::ToSpace(0));
+            assert_eq!(store.chunk(c).owner(), owner);
+        }
     }
 }

@@ -42,7 +42,7 @@ pub mod queue;
 pub mod safepoint;
 pub mod team;
 
-pub use evac::{EvacEngine, EvacOutcome, EvacZone, SCAN_BLOCK_WORDS};
+pub use evac::{EvacEngine, EvacOutcome, SCAN_BLOCK_WORDS};
 pub use job::JobRef;
 pub use pool::{Pool, PoolConfig, PoolWaker, SchedStats, Worker};
 pub use queue::{Injector, JobQueue, Span, SpanDeque};

@@ -137,22 +137,23 @@ impl Safepoints {
     }
 
     fn park(&self) {
-        // The parked count is decremented through an unwind guard: a pause-work
-        // offer that panics (an injected fault inside a drafted helper stint)
-        // unwinds through this frame with the state lock *released*, and a
-        // leaked `parked` increment would let the next collector count a thread
-        // as parked that is actually gone — stopping the world one thread
-        // short. Declared before `st` so it drops after the lock guard.
+        // On unwind the parked count is decremented through a guard: a
+        // pause-work offer that panics (an injected fault inside a drafted
+        // helper stint) unwinds through this frame with the state lock
+        // *released*, and a leaked `parked` increment would let the next
+        // collector count a thread as parked that is actually gone — stopping
+        // the world one thread short. Declared before `st` so it drops after
+        // the lock guard.
         struct ParkedToken<'a>(&'a Safepoints);
         impl Drop for ParkedToken<'_> {
             fn drop(&mut self) {
                 self.0.state.lock().parked -= 1;
             }
         }
-        let _token;
+        let token;
         let mut st = self.state.lock();
         st.parked += 1;
-        _token = ParkedToken(self);
+        token = ParkedToken(self);
         self.parked_cv.notify_all();
         // Generations start at 1, so 0 never suppresses a real offer.
         let mut ran_generation = 0u64;
@@ -177,7 +178,12 @@ impl Safepoints {
             }
             self.resume_cv.wait(&mut st);
         }
-        drop(st);
+        // The normal exit leaves under the same lock hold as the last
+        // `requested` check. Decrementing after dropping the lock would open a
+        // window in which a collector that starts right away still counts this
+        // thread as parked — and collects while it runs mutator code.
+        st.parked -= 1;
+        std::mem::forget(token);
     }
 
     /// Stops the world and runs `collect` while all other registered threads are parked.
@@ -306,6 +312,58 @@ mod tests {
             "mutator observed running during a stop-the-world pause"
         );
         assert_eq!(sp.world_stops(), 5);
+    }
+
+    /// Back-to-back pauses: a mutator leaving one pause must never be counted
+    /// as parked by the next. Each round's collector marks the world stopped;
+    /// a mutator that observes the mark outside `poll` is running mutator code
+    /// during a collection.
+    #[test]
+    fn back_to_back_pauses_never_overlap_mutator_code() {
+        let sp = Arc::new(Safepoints::new());
+        let n_mutators = 4;
+        let overlaps = Arc::new(AtomicUsize::new(0));
+        let world_stopped = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
+        for _ in 0..=n_mutators {
+            sp.register(); // the mutators plus the collector thread
+        }
+        let handles: Vec<_> = (0..n_mutators)
+            .map(|_| {
+                let sp = Arc::clone(&sp);
+                let world_stopped = Arc::clone(&world_stopped);
+                let overlaps = Arc::clone(&overlaps);
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        sp.poll();
+                        if world_stopped.load(Ordering::SeqCst) {
+                            overlaps.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                    sp.unregister();
+                })
+            })
+            .collect();
+        for _ in 0..2000 {
+            assert!(sp.stop_the_world(|| {
+                world_stopped.store(true, Ordering::SeqCst);
+                for _ in 0..50 {
+                    std::hint::spin_loop();
+                }
+                world_stopped.store(false, Ordering::SeqCst);
+            }));
+        }
+        stop.store(true, Ordering::Relaxed);
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(
+            overlaps.load(Ordering::SeqCst),
+            0,
+            "mutator code ran during a stop-the-world pause"
+        );
+        assert_eq!(sp.world_stops(), 2000);
     }
 
     #[test]
