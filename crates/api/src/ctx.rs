@@ -368,9 +368,14 @@ pub trait Runtime: Sync {
     }
 
     /// Statistics accumulated since construction or the last [`Runtime::reset_stats`].
+    /// Rows documented "not reset" on [`RunStats`] (the chunk store's monotone
+    /// counts and gauges, peak memory, the scheduler pool's parks and wakes) cover
+    /// the runtime's whole life instead.
     fn stats(&self) -> RunStats;
 
-    /// Resets the statistics counters (peak memory tracking included).
+    /// Resets the resettable statistics: every counted row and the GC pause
+    /// samples. Peak memory and the other "not reset" rows keep their lifetime
+    /// values.
     fn reset_stats(&self);
 }
 

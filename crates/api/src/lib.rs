@@ -39,7 +39,9 @@
 //!
 //! The [`Runtime`] trait is the harness-facing factory: it runs a root task on the
 //! runtime's scheduler and reports [`RunStats`] (GC time, promotions, bulk-operation
-//! volume, peak memory) used to regenerate the paper's tables.
+//! volume, peak memory) used to regenerate the paper's tables. Every runtime
+//! accumulates them in the same [`Counters`] block, generated with `RunStats` from
+//! one table in the `stats` module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,7 +58,7 @@ pub use bits::{f64_from_bits, f64_to_bits};
 pub use ctx::{ParCtx, Rooted, Runtime};
 pub use latency::{LatencyRecorder, LatencySummary};
 pub use rng::{hash64, Rng};
-pub use stats::RunStats;
+pub use stats::{Counters, RunStats};
 
 pub use hh_objmodel::{ObjKind, ObjPtr};
 

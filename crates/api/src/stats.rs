@@ -1,123 +1,342 @@
-//! Run statistics reported by every runtime.
+//! Run statistics reported by every runtime, and the one counter block that
+//! produces them.
+//!
+//! Every stat is one row of the `stats_table!` invocation below: its doc, its
+//! name, its merge kind (`sum`, or `max` for peaks, gauges and percentiles) and,
+//! through the section it sits in, where its value comes from:
+//!
+//! * `counted` — one atomic in [`Counters`], bumped by the runtime and zeroed by
+//!   [`Counters::reset`];
+//! * `pauses` — a field of the GC pause recorder's summary, cleared by
+//!   [`Counters::reset`];
+//! * `store` — copied from the chunk store's [`StoreStats`] at snapshot time;
+//! * `set` — written by the runtime into the snapshot (scheduler pool figures).
+//!
+//! The table generates [`RunStats`], [`RunStats::merge`], the [`Counters`] struct,
+//! [`Counters::snapshot`] and [`Counters::reset`], so adding a stat is adding a row.
 
+use crate::latency::LatencyRecorder;
+use hh_objmodel::StoreStats;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-/// Counters accumulated by a runtime over one benchmark run.
-///
-/// These are the quantities the paper's evaluation reports: GC time (the `GC_s` /
-/// `GC_72` columns of Figures 10–11), promotion volume (the §4.4 Manticore comparison),
-/// and peak heap occupancy (the memory consumption of Figure 13).
-#[derive(Clone, Debug, Default)]
-pub struct RunStats {
-    /// Wall-clock time spent inside garbage collections, summed over all workers.
-    pub gc_time: Duration,
-    /// Number of garbage collections performed.
-    pub gc_count: u64,
-    /// Number of stop-the-world pauses (baselines only; 0 for the hierarchical runtime).
-    pub world_stops: u64,
-    /// Total words allocated by mutators.
-    pub allocated_words: u64,
-    /// Number of batched promotion passes performed (one per pointer write that had
-    /// to evacuate a closure; the DLG baseline counts its transitive
-    /// promote-to-global passes here).
-    pub promotions: u64,
-    /// Number of objects copied by promotions.
-    pub promoted_objects: u64,
-    /// Total words copied by promotions.
-    pub promoted_words: u64,
-    /// Forwarding-pointer hops walked while resolving master copies (`findMaster` on
-    /// the hierarchical runtime, the forwarding barrier on the baselines). With path
-    /// compression enabled this stays close to the number of resolutions.
-    pub fwd_hops: u64,
-    /// Forwarding-chain hops short-cut by path compression: after a resolution walks
-    /// a chain of length ≥ 2, every intermediate hop is CAS-redirected to the master
-    /// so the amortized resolution cost is O(1).
-    pub fwd_compressions: u64,
-    /// Number of heaps created (hierarchical runtime) or local heaps (DLG baseline).
-    pub heaps_created: u64,
-    /// Heap creations skipped by the lazy steal-time heap policy: an unstolen branch
-    /// runs in its parent's heap, eliding the child heap and its join splice
-    /// (hierarchical runtime only; 0 elsewhere).
-    pub heaps_elided: u64,
-    /// Successful work steals observed by the scheduler. Resettable on the
-    /// hierarchical runtime (fed by the on-steal hook); pool-lifetime on the baselines.
-    pub sched_steals: u64,
-    /// Times a scheduler worker parked while idle (pool-lifetime counter).
-    pub sched_parks: u64,
-    /// Wakeups delivered to parked scheduler workers (pool-lifetime counter).
-    pub sched_wakes: u64,
-    /// Peak number of live words held in chunks at any point of the run.
-    pub peak_live_words: u64,
-    /// Words copied by garbage collections (survivors).
-    pub gc_copied_words: u64,
-    /// Number of bulk field operations (`read_imm_bulk`, `read_mut_bulk`,
-    /// `write_nonptr_bulk`, `fill_nonptr`, `copy_nonptr`) executed.
-    pub bulk_ops: u64,
-    /// Total words moved by bulk field operations.
-    pub bulk_words: u64,
-    /// Forwarding-chain / master-copy resolutions performed *inside* bulk operations.
-    /// A runtime that amortizes correctly performs at most one per object operand —
-    /// i.e. at most `2 * bulk_ops` in total (copies have two operands), independent of
-    /// slice length.
-    pub bulk_master_lookups: u64,
-    /// Collections whose zone spanned more than one heap — an internal node of the
-    /// hierarchy plus its completed descendants (hierarchical runtime only).
-    pub subtree_collections: u64,
-    /// Collections run in *team mode*: helpers were drafted (jobs injected /
-    /// pause-work offered) alongside the triggering thread (GC v2). Helpers are
-    /// best-effort, so a busy pool may leave the trigger collecting alone even
-    /// in team mode — [`RunStats::gc_steal_blocks`] measures the parallelism
-    /// actually realized.
-    pub gc_parallel_collections: u64,
-    /// Scan blocks stolen between GC team members during parallel collections
-    /// (the work-stealing traffic of the evacuation wavefront).
-    pub gc_steal_blocks: u64,
-    /// Longest single collection pause observed, in nanoseconds (a gauge of the
-    /// worst-case latency the collector imposes; merged by max).
-    pub gc_max_pause_ns: u64,
-    /// Mutator-observed GC pause samples behind the percentile gauges below: one
-    /// per STW collection, and one per incremental seed / safepoint drain /
-    /// finalize (idle-worker drains pause no mutator and are not sampled).
-    pub gc_pause_count: u64,
-    /// Median mutator-observed GC pause, in nanoseconds (gauge; merged by max —
-    /// snapshots cannot re-derive percentiles without the raw samples).
-    pub gc_pause_p50_ns: u64,
-    /// 99th-percentile mutator-observed GC pause, in nanoseconds (gauge; merged
-    /// by max).
-    pub gc_pause_p99_ns: u64,
-    /// 99.9th-percentile mutator-observed GC pause, in nanoseconds (gauge;
-    /// merged by max).
-    pub gc_pause_p999_ns: u64,
-    /// Bounded drain increments executed by incremental collections (safepoint
-    /// ticks plus idle-worker drains; 0 unless `incremental_gc` is on).
-    pub gc_increments: u64,
-    /// Collections completed mutator-concurrently, i.e. incremental windows
-    /// finalized (a subset of `gc_count`; 0 unless `incremental_gc` is on).
-    pub gc_incremental_collections: u64,
-    /// Number of chunks ever minted by the chunk store (monotone).
-    pub chunks_created: u64,
-    /// Times a retired chunk was reused for a new owner instead of minting a fresh
-    /// one (monotone).
-    pub chunks_recycled: u64,
-    /// Default-sized chunk requests served from a per-thread allocation cache.
-    pub alloc_cache_hits: u64,
-    /// Words currently held by active chunks (gauge, at snapshot time).
-    pub live_words: u64,
-    /// Words currently parked on the store's free lists and allocation caches
-    /// (gauge, at snapshot time).
-    pub free_words: u64,
-    /// Quarantined chunks moved out of quarantine (freed or released) by the
-    /// epoch watermark — i.e. reclaimed because every run whose epoch could hold
-    /// a stale pointer into them had ended, without waiting for global quiescence
-    /// (monotone).
-    pub epoch_reclaims: u64,
-    /// Highest number of simultaneously active epoch-tracked runs observed
-    /// (gauge of run overlap; merged by max).
-    pub active_runs_peak: u64,
-    /// Words currently held by quarantined chunks — retired but not yet past the
-    /// reuse watermark (gauge, at snapshot time; the "watermark lag" a server
-    /// pays for quiescence-free reclamation).
-    pub quarantine_lag_words: u64,
+/// A row's value type: a plain count, or a [`Duration`] counted in nanoseconds.
+trait Stat {
+    fn from_count(n: u64) -> Self;
+    #[cfg(test)]
+    fn count(&self) -> u64;
+}
+
+impl Stat for u64 {
+    fn from_count(n: u64) -> u64 {
+        n
+    }
+    #[cfg(test)]
+    fn count(&self) -> u64 {
+        *self
+    }
+}
+
+impl Stat for Duration {
+    fn from_count(n: u64) -> Duration {
+        Duration::from_nanos(n)
+    }
+    #[cfg(test)]
+    fn count(&self) -> u64 {
+        self.as_nanos() as u64
+    }
+}
+
+macro_rules! merge_row {
+    (sum, $a:expr, $b:expr) => {
+        $a += $b
+    };
+    (max, $a:expr, $b:expr) => {
+        $a = $a.max($b)
+    };
+}
+
+macro_rules! stats_table {
+    (
+        counted { $( $(#[doc = $cd:literal])* $c:ident: $cty:ty = $cm:ident, )* }
+        pauses { $( $(#[doc = $pd:literal])* $p:ident = $pm:ident <- $psrc:ident, )* }
+        store { $( $(#[doc = $sd:literal])* $s:ident = $sm:ident <- $ssrc:ident, )* }
+        set { $( $(#[doc = $xd:literal])* $x:ident = $xm:ident, )* }
+    ) => {
+        /// Statistics accumulated by a runtime over one benchmark run.
+        ///
+        /// These are the quantities the paper's evaluation reports: GC time (the
+        /// `GC_s` / `GC_72` columns of Figures 10–11), promotion volume (the §4.4
+        /// Manticore comparison), and peak heap occupancy (the memory consumption
+        /// of Figure 13). Rows marked "not reset" are runtime-lifetime values that
+        /// [`Runtime::reset_stats`](crate::Runtime::reset_stats) leaves alone.
+        #[derive(Clone, Debug, Default)]
+        pub struct RunStats {
+            $( $(#[doc = $cd])* pub $c: $cty, )*
+            $( $(#[doc = $pd])* pub $p: u64, )*
+            $( $(#[doc = $sd])* pub $s: u64, )*
+            $( $(#[doc = $xd])* pub $x: u64, )*
+        }
+
+        impl RunStats {
+            /// Merges another snapshot into this one, row by row: `sum` rows add,
+            /// `max` rows keep the larger side. Percentiles of a merged sample set
+            /// cannot be rebuilt from two summaries, so the worse side is kept as
+            /// the conservative bound.
+            pub fn merge(&mut self, other: &RunStats) {
+                $( merge_row!($cm, self.$c, other.$c); )*
+                $( merge_row!($pm, self.$p, other.$p); )*
+                $( merge_row!($sm, self.$s, other.$s); )*
+                $( merge_row!($xm, self.$x, other.$x); )*
+            }
+        }
+
+        /// The statistics a runtime accumulates while it runs: one atomic per
+        /// `counted` row of [`RunStats`] (a [`Duration`] row counts nanoseconds),
+        /// plus the GC pause samples behind the `pauses` rows.
+        #[derive(Debug, Default)]
+        pub struct Counters {
+            $( $(#[doc = $cd])* pub $c: AtomicU64, )*
+            gc_pauses: Mutex<LatencyRecorder>,
+        }
+
+        impl Counters {
+            /// Builds a [`RunStats`] snapshot from these counters and the chunk
+            /// store's accounting. `set` rows are left at zero for the runtime to
+            /// fill in.
+            pub fn snapshot(&self, store: &StoreStats) -> RunStats {
+                let pauses = self.pauses().summary();
+                RunStats {
+                    $( $c: <$cty as Stat>::from_count(self.$c.load(Ordering::Relaxed)), )*
+                    $( $p: pauses.$psrc, )*
+                    $( $s: store.$ssrc as u64, )*
+                    $( $x: 0, )*
+                }
+            }
+
+            /// Zeroes every counted row and discards the pause samples.
+            pub fn reset(&self) {
+                $( self.$c.store(0, Ordering::Relaxed); )*
+                self.pauses().clear();
+            }
+        }
+
+        #[cfg(test)]
+        impl RunStats {
+            /// Every row as `(name, merge kind, value)`, durations in nanoseconds.
+            fn rows(&self) -> Vec<(&'static str, &'static str, u64)> {
+                vec![
+                    $( (stringify!($c), stringify!($cm), Stat::count(&self.$c)), )*
+                    $( (stringify!($p), stringify!($pm), self.$p), )*
+                    $( (stringify!($s), stringify!($sm), self.$s), )*
+                    $( (stringify!($x), stringify!($xm), self.$x), )*
+                ]
+            }
+
+            /// A snapshot whose every row holds `value(name)`.
+            fn from_counts(value: impl Fn(&str) -> u64) -> RunStats {
+                RunStats {
+                    $( $c: <$cty as Stat>::from_count(value(stringify!($c))), )*
+                    $( $p: value(stringify!($p)), )*
+                    $( $s: value(stringify!($s)), )*
+                    $( $x: value(stringify!($x)), )*
+                }
+            }
+        }
+
+        #[cfg(test)]
+        impl Counters {
+            /// Every counted row's atomic, by name.
+            fn counted(&self) -> Vec<(&'static str, &AtomicU64)> {
+                vec![ $( (stringify!($c), &self.$c), )* ]
+            }
+        }
+
+        /// Every store row, with the value of the `StoreStats` field it copies.
+        #[cfg(test)]
+        fn store_sources(store: &StoreStats) -> Vec<(&'static str, u64)> {
+            vec![ $( (stringify!($s), store.$ssrc as u64), )* ]
+        }
+    };
+}
+
+stats_table! {
+    counted {
+        /// Wall-clock time spent inside garbage collections, summed over all workers.
+        gc_time: Duration = sum,
+        /// Number of garbage collections performed.
+        gc_count: u64 = sum,
+        /// Number of stop-the-world pauses (baselines only; 0 for the hierarchical runtime).
+        world_stops: u64 = sum,
+        /// Total words allocated by mutators.
+        allocated_words: u64 = sum,
+        /// Number of batched promotion passes performed (one per pointer write that had
+        /// to evacuate a closure; the DLG baseline counts its transitive
+        /// promote-to-global passes here).
+        promotions: u64 = sum,
+        /// Number of objects copied by promotions.
+        promoted_objects: u64 = sum,
+        /// Total words copied by promotions.
+        promoted_words: u64 = sum,
+        /// Forwarding-pointer hops walked while resolving master copies (`findMaster` on
+        /// the hierarchical runtime, the forwarding barrier on the baselines). With path
+        /// compression enabled this stays close to the number of resolutions.
+        fwd_hops: u64 = sum,
+        /// Forwarding-chain hops short-cut by path compression: after a resolution walks
+        /// a chain of length ≥ 2, every intermediate hop is CAS-redirected to the master
+        /// so the amortized resolution cost is O(1).
+        fwd_compressions: u64 = sum,
+        /// Number of heaps created (hierarchical runtime) or heaps the baseline runs on
+        /// (set by the baseline: 1, or 1 + the local heaps on DLG; not reset there).
+        heaps_created: u64 = sum,
+        /// Heap creations skipped by the lazy steal-time heap policy: an unstolen branch
+        /// runs in its parent's heap, eliding the child heap and its join splice
+        /// (hierarchical runtime only; 0 elsewhere).
+        heaps_elided: u64 = sum,
+        /// Successful work steals observed by the scheduler. Counted by the on-steal
+        /// hook on the hierarchical runtime; set from the pool on the baselines, where
+        /// it is pool-lifetime (not reset).
+        sched_steals: u64 = sum,
+        /// Words copied by garbage collections (survivors).
+        gc_copied_words: u64 = sum,
+        /// Number of bulk field operations (`read_imm_bulk`, `read_mut_bulk`,
+        /// `write_nonptr_bulk`, `fill_nonptr`, `copy_nonptr`) executed.
+        bulk_ops: u64 = sum,
+        /// Total words moved by bulk field operations.
+        bulk_words: u64 = sum,
+        /// Forwarding-chain / master-copy resolutions performed *inside* bulk operations.
+        /// A runtime that amortizes correctly performs at most one per object operand —
+        /// i.e. at most `2 * bulk_ops` in total (copies have two operands), independent of
+        /// slice length.
+        bulk_master_lookups: u64 = sum,
+        /// Collections whose zone spanned more than one heap — an internal node of the
+        /// hierarchy plus its completed descendants (hierarchical runtime only).
+        subtree_collections: u64 = sum,
+        /// Collections run in *team mode*: helpers were drafted (jobs injected /
+        /// pause-work offered) alongside the triggering thread (GC v2). Helpers are
+        /// best-effort, so a busy pool may leave the trigger collecting alone even
+        /// in team mode — [`RunStats::gc_steal_blocks`] measures the parallelism
+        /// actually realized.
+        gc_parallel_collections: u64 = sum,
+        /// Scan blocks stolen between GC team members during parallel collections
+        /// (the work-stealing traffic of the evacuation wavefront).
+        gc_steal_blocks: u64 = sum,
+        /// Bounded drain increments executed by incremental collections (safepoint
+        /// ticks plus idle-worker drains; 0 unless `incremental_gc` is on).
+        gc_increments: u64 = sum,
+        /// Collections completed mutator-concurrently, i.e. incremental windows
+        /// finalized (a subset of `gc_count`; 0 unless `incremental_gc` is on).
+        gc_incremental_collections: u64 = sum,
+    }
+    pauses {
+        /// Longest single collection pause observed, in nanoseconds (a gauge of the
+        /// worst-case latency the collector imposes).
+        gc_max_pause_ns = max <- max_ns,
+        /// Mutator-observed GC pause samples behind the percentile gauges below: one
+        /// per STW collection, and one per incremental seed / safepoint drain /
+        /// finalize (idle-worker drains pause no mutator and are not sampled).
+        gc_pause_count = sum <- count,
+        /// Median mutator-observed GC pause, in nanoseconds.
+        gc_pause_p50_ns = max <- p50_ns,
+        /// 99th-percentile mutator-observed GC pause, in nanoseconds.
+        gc_pause_p99_ns = max <- p99_ns,
+        /// 99.9th-percentile mutator-observed GC pause, in nanoseconds.
+        gc_pause_p999_ns = max <- p999_ns,
+    }
+    store {
+        /// Peak number of live words held in chunks over the runtime's life (not reset).
+        peak_live_words = max <- peak_words,
+        /// Number of chunks ever minted by the chunk store (not reset).
+        chunks_created = sum <- chunks_created,
+        /// Times a retired chunk was reused for a new owner instead of minting a fresh
+        /// one (not reset).
+        chunks_recycled = sum <- chunks_recycled,
+        /// Default-sized chunk requests served from a per-thread allocation cache
+        /// (not reset).
+        alloc_cache_hits = sum <- alloc_cache_hits,
+        /// Words currently held by active chunks (gauge, at snapshot time).
+        live_words = max <- live_words,
+        /// Words currently parked on the store's free lists and allocation caches
+        /// (gauge, at snapshot time).
+        free_words = max <- free_words,
+        /// Quarantined chunks moved out of quarantine (freed or released) by the
+        /// epoch watermark — i.e. reclaimed because every run whose epoch could hold
+        /// a stale pointer into them had ended, without waiting for global quiescence
+        /// (not reset).
+        epoch_reclaims = sum <- epoch_reclaims,
+        /// Highest number of simultaneously active epoch-tracked runs observed
+        /// (gauge of run overlap; not reset).
+        active_runs_peak = max <- active_runs_peak,
+        /// Words currently held by quarantined chunks — retired but not yet past the
+        /// reuse watermark (gauge, at snapshot time; the "watermark lag" a server
+        /// pays for quiescence-free reclamation).
+        quarantine_lag_words = max <- quarantined_words,
+    }
+    set {
+        /// Times a scheduler worker parked while idle (pool-lifetime; not reset).
+        sched_parks = sum,
+        /// Wakeups delivered to parked scheduler workers (pool-lifetime; not reset).
+        sched_wakes = sum,
+    }
+}
+
+impl Counters {
+    /// Adds `d` to the GC time.
+    pub fn add_gc_time(&self, d: Duration) {
+        self.gc_time
+            .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
+    }
+
+    /// Records one mutator-observed GC pause: a sample of the pause CDF (and so of
+    /// the max-pause gauge).
+    pub fn record_gc_pause(&self, d: Duration) {
+        self.pauses().record(d);
+    }
+
+    /// Records one bulk operation moving `words` words. Master lookups are counted
+    /// separately, at the resolution call sites themselves, so
+    /// `bulk_master_lookups` measures what actually happened rather than restating
+    /// what the implementation intends.
+    pub fn record_bulk(&self, words: u64) {
+        self.bulk_ops.fetch_add(1, Ordering::Relaxed);
+        self.bulk_words.fetch_add(words, Ordering::Relaxed);
+    }
+
+    /// Books one finished collection: its count, the survivor words it copied, the
+    /// scan blocks its team stole, and whether it ran with a team (`team`) or over
+    /// more than one heap (`subtree`). GC time and the pause sample are recorded
+    /// apart ([`Counters::add_gc_time`], [`Counters::record_gc_pause`]): an
+    /// incremental collection spreads both over several increments.
+    pub fn record_collection(
+        &self,
+        copied_words: u64,
+        steal_blocks: u64,
+        team: bool,
+        subtree: bool,
+    ) {
+        self.gc_count.fetch_add(1, Ordering::Relaxed);
+        self.gc_copied_words
+            .fetch_add(copied_words, Ordering::Relaxed);
+        if steal_blocks > 0 {
+            self.gc_steal_blocks
+                .fetch_add(steal_blocks, Ordering::Relaxed);
+        }
+        if team {
+            self.gc_parallel_collections.fetch_add(1, Ordering::Relaxed);
+        }
+        if subtree {
+            self.subtree_collections.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// The pause recorder. A panic never leaves it half-updated, so poisoning is
+    /// ignored.
+    fn pauses(&self) -> MutexGuard<'_, LatencyRecorder> {
+        self.gc_pauses
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl RunStats {
@@ -138,50 +357,6 @@ impl RunStats {
         } else {
             self.gc_time.as_secs_f64() / elapsed.as_secs_f64()
         }
-    }
-
-    /// Merges another stats snapshot into this one (summing counters, taking max of peaks).
-    pub fn merge(&mut self, other: &RunStats) {
-        self.gc_time += other.gc_time;
-        self.gc_count += other.gc_count;
-        self.world_stops += other.world_stops;
-        self.allocated_words += other.allocated_words;
-        self.promotions += other.promotions;
-        self.promoted_objects += other.promoted_objects;
-        self.promoted_words += other.promoted_words;
-        self.fwd_hops += other.fwd_hops;
-        self.fwd_compressions += other.fwd_compressions;
-        self.heaps_created += other.heaps_created;
-        self.heaps_elided += other.heaps_elided;
-        self.sched_steals += other.sched_steals;
-        self.sched_parks += other.sched_parks;
-        self.sched_wakes += other.sched_wakes;
-        self.peak_live_words = self.peak_live_words.max(other.peak_live_words);
-        self.gc_copied_words += other.gc_copied_words;
-        self.bulk_ops += other.bulk_ops;
-        self.bulk_words += other.bulk_words;
-        self.bulk_master_lookups += other.bulk_master_lookups;
-        self.subtree_collections += other.subtree_collections;
-        self.gc_parallel_collections += other.gc_parallel_collections;
-        self.gc_steal_blocks += other.gc_steal_blocks;
-        self.gc_max_pause_ns = self.gc_max_pause_ns.max(other.gc_max_pause_ns);
-        self.gc_pause_count += other.gc_pause_count;
-        // Percentiles of merged sample sets cannot be reconstructed from two
-        // summaries; keeping the worse (larger) side is the conservative bound.
-        self.gc_pause_p50_ns = self.gc_pause_p50_ns.max(other.gc_pause_p50_ns);
-        self.gc_pause_p99_ns = self.gc_pause_p99_ns.max(other.gc_pause_p99_ns);
-        self.gc_pause_p999_ns = self.gc_pause_p999_ns.max(other.gc_pause_p999_ns);
-        self.gc_increments += other.gc_increments;
-        self.gc_incremental_collections += other.gc_incremental_collections;
-        self.chunks_created += other.chunks_created;
-        self.chunks_recycled += other.chunks_recycled;
-        self.alloc_cache_hits += other.alloc_cache_hits;
-        self.epoch_reclaims += other.epoch_reclaims;
-        // Gauges: merged snapshots keep the larger instantaneous value, like peaks.
-        self.live_words = self.live_words.max(other.live_words);
-        self.free_words = self.free_words.max(other.free_words);
-        self.active_runs_peak = self.active_runs_peak.max(other.active_runs_peak);
-        self.quarantine_lag_words = self.quarantine_lag_words.max(other.quarantine_lag_words);
     }
 
     /// Fraction of chunk requests served by reuse rather than fresh minting
@@ -352,5 +527,141 @@ mod tests {
         };
         let d = format!("{s:?}");
         assert!(d.contains("promoted_words: 7"));
+    }
+
+    fn row(s: &RunStats, name: &str) -> u64 {
+        s.rows()
+            .into_iter()
+            .find(|r| r.0 == name)
+            .unwrap_or_else(|| panic!("no row {name}"))
+            .2
+    }
+
+    #[test]
+    fn every_counted_row_moves_only_its_own_field() {
+        let names: Vec<&str> = Counters::default().counted().iter().map(|r| r.0).collect();
+        assert!(names.contains(&"gc_time") && names.contains(&"gc_count"));
+        for (i, name) in names.iter().enumerate() {
+            let c = Counters::default();
+            let bump = 7 * (i as u64 + 1);
+            c.counted()[i].1.fetch_add(bump, Ordering::Relaxed);
+            let s = c.snapshot(&StoreStats::default());
+            for (row, _, v) in s.rows() {
+                let want = if row == *name { bump } else { 0 };
+                assert_eq!(v, want, "bumping {name} moved {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn merge_sums_or_maxes_every_row_by_its_declared_kind() {
+        let names: Vec<&str> = RunStats::default().rows().iter().map(|r| r.0).collect();
+        let n = names.len() as u64;
+        let index = |name: &str| names.iter().position(|r| *r == name).unwrap() as u64;
+        // The two sides cross, so `max` rows see both the left and the right win.
+        let a = RunStats::from_counts(|name| 10 * (index(name) + 1));
+        let b = RunStats::from_counts(|name| 10 * (n - index(name)) + 3);
+        let mut merged = a.clone();
+        merged.merge(&b);
+        for ((name, kind, got), ((_, _, x), (_, _, y))) in merged
+            .rows()
+            .into_iter()
+            .zip(a.rows().into_iter().zip(b.rows()))
+        {
+            let want = match kind {
+                "sum" => x + y,
+                "max" => x.max(y),
+                other => panic!("{name}: unknown merge kind {other}"),
+            };
+            assert_eq!(got, want, "{name} ({kind})");
+        }
+        for peak in [
+            "peak_live_words",
+            "gc_max_pause_ns",
+            "gc_pause_p999_ns",
+            "live_words",
+        ] {
+            assert!(
+                merged.rows().iter().any(|r| r.0 == peak && r.1 == "max"),
+                "{peak}"
+            );
+        }
+    }
+
+    #[test]
+    fn reset_zeroes_every_counted_row_and_the_pauses() {
+        let c = Counters::default();
+        for (_, atomic) in c.counted() {
+            atomic.fetch_add(5, Ordering::Relaxed);
+        }
+        c.record_gc_pause(Duration::from_micros(3));
+        c.reset();
+        let s = c.snapshot(&StoreStats::default());
+        for (row, _, v) in s.rows() {
+            assert_eq!(v, 0, "{row} survived reset");
+        }
+    }
+
+    #[test]
+    fn store_rows_copy_their_store_field() {
+        let store = StoreStats {
+            live_words: 1,
+            peak_words: 2,
+            total_allocated_words: 3,
+            free_words: 4,
+            chunks_created: 5,
+            chunks_retired: 6,
+            chunks_recycled: 7,
+            chunks_released: 8,
+            chunks_active: 9,
+            chunks_quarantined: 10,
+            chunks_free: 11,
+            alloc_cache_hits: 12,
+            epoch_reclaims: 13,
+            active_runs: 14,
+            active_runs_peak: 15,
+            quarantined_words: 16,
+        };
+        let s = Counters::default().snapshot(&store);
+        let sources = store_sources(&store);
+        assert!(sources.len() >= 9);
+        for (name, want) in sources {
+            assert_eq!(row(&s, name), want, "{name}");
+        }
+        assert_eq!(s.peak_live_words, 2);
+        assert_eq!(s.quarantine_lag_words, 16);
+        for (name, _) in Counters::default().counted() {
+            assert_eq!(row(&s, name), 0, "store moved counted row {name}");
+        }
+    }
+
+    #[test]
+    fn pause_rows_summarize_the_recorded_pauses() {
+        let c = Counters::default();
+        for us in [30, 10, 20] {
+            c.record_gc_pause(Duration::from_micros(us));
+        }
+        let s = c.snapshot(&StoreStats::default());
+        assert_eq!(s.gc_pause_count, 3);
+        assert_eq!(s.gc_pause_p50_ns, 20_000);
+        assert_eq!(s.gc_pause_p999_ns, 30_000);
+        assert_eq!(s.gc_max_pause_ns, 30_000);
+        assert_eq!(s.gc_time, Duration::ZERO, "a pause sample is not GC time");
+    }
+
+    #[test]
+    fn record_collection_books_count_words_steals_and_flags() {
+        let c = Counters::default();
+        c.record_collection(100, 0, false, false);
+        c.record_collection(50, 4, true, true);
+        c.record_bulk(64);
+        let s = c.snapshot(&StoreStats::default());
+        assert_eq!(s.gc_count, 2);
+        assert_eq!(s.gc_copied_words, 150);
+        assert_eq!(s.gc_steal_blocks, 4);
+        assert_eq!(s.gc_parallel_collections, 1);
+        assert_eq!(s.subtree_collections, 1);
+        assert_eq!((s.bulk_ops, s.bulk_words), (1, 64));
+        assert_eq!(s.gc_pause_count, 0, "pauses are recorded apart");
     }
 }

@@ -1,8 +1,9 @@
 //! Shared machinery for the baseline runtimes: flat heaps over the chunk store, the
 //! forwarding-resolution read barrier, root registries, and a plain semispace collector.
 
+use hh_api::{Counters, RunStats};
 use hh_objmodel::{ChunkCursor, ChunkId, ChunkStore, Header, Init, ObjPtr};
-use hh_sched::EvacEngine;
+use hh_sched::{EvacEngine, Pool};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -205,11 +206,7 @@ pub fn resolve(store: &ChunkStore, mut obj: ObjPtr) -> ObjPtr {
 /// counter parity with the hierarchical runtime; the lock-freedom argument lives on
 /// that method and `ObjView::compress_fwd`).
 #[inline]
-pub fn resolve_tracked(
-    store: &ChunkStore,
-    counters: &crate::counters::Counters,
-    obj: ObjPtr,
-) -> ObjPtr {
+pub fn resolve_tracked(store: &ChunkStore, counters: &Counters, obj: ObjPtr) -> ObjPtr {
     let mut cur = obj;
     let mut hops = 0u64;
     loop {
@@ -239,13 +236,29 @@ pub fn resolve_tracked(
 /// `bulk_master_lookups` counter is a measurement: if an implementation regressed to
 /// per-element resolution, the counter would expose it.
 #[inline]
-pub fn resolve_counted(
-    store: &ChunkStore,
-    counters: &crate::counters::Counters,
-    obj: ObjPtr,
-) -> ObjPtr {
+pub fn resolve_counted(store: &ChunkStore, counters: &Counters, obj: ObjPtr) -> ObjPtr {
     counters.bulk_master_lookups.fetch_add(1, Ordering::Relaxed);
     resolve_tracked(store, counters, obj)
+}
+
+/// A baseline's [`RunStats`]: the shared counters and store accounting, plus the
+/// rows a baseline sets itself — the number of heaps it runs on and, when it has
+/// a pool, the pool-lifetime steal, park and wake counts.
+pub(crate) fn baseline_stats(
+    counters: &Counters,
+    store: &ChunkStore,
+    heaps: u64,
+    pool: Option<&Pool>,
+) -> RunStats {
+    let mut stats = counters.snapshot(&store.stats());
+    stats.heaps_created = heaps;
+    if let Some(pool) = pool {
+        let sched = pool.sched_stats();
+        stats.sched_steals = sched.steals as u64;
+        stats.sched_parks = sched.parks as u64;
+        stats.sched_wakes = sched.wakes as u64;
+    }
+    stats
 }
 
 // ---------------------------------------------------------------------------
@@ -261,7 +274,6 @@ pub fn resolve_counted(
 // resolves once before each access).
 // ---------------------------------------------------------------------------
 
-use crate::counters::Counters;
 use hh_sched::Safepoints;
 
 /// Shared body of `read_imm_bulk`: immutable fields never change and never need the
@@ -586,7 +598,6 @@ mod tests {
 
     #[test]
     fn resolve_tracked_counts_hops_and_compresses_long_chains() {
-        use crate::counters::Counters;
         use std::sync::atomic::Ordering;
         let (store, heap) = setup();
         let h = Header::new(1, 0, ObjKind::Ref);

@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod common;
-pub mod counters;
 pub mod dlg;
 pub mod seq;
 pub mod stw;

@@ -5,9 +5,10 @@
 //! heap exceeds its threshold. Benchmark times measured on this runtime are the `T_s`
 //! baseline against which the parallel runtimes' overhead and speedup are computed.
 
-use crate::common::{resolve_tracked, semispace_collect, FlatHeap, QuiescentHorizon, RootRegistry};
-use crate::counters::Counters;
-use hh_api::{ParCtx, RunStats, Runtime};
+use crate::common::{
+    baseline_stats, resolve_tracked, semispace_collect, FlatHeap, QuiescentHorizon, RootRegistry,
+};
+use hh_api::{Counters, ParCtx, RunStats, Runtime};
 use hh_objmodel::{ChunkStore, Header, ObjKind, ObjPtr};
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
@@ -86,10 +87,8 @@ impl SeqInner {
         let outcome = semispace_collect(&self.store, OWNER_SEQ, &zone, &self.roots, &mut []);
         self.heap
             .replace_chunks(outcome.new_chunks, outcome.occupied_words);
-        self.counters.gc_count.fetch_add(1, Ordering::Relaxed);
         self.counters
-            .gc_copied_words
-            .fetch_add(outcome.copied_words as u64, Ordering::Relaxed);
+            .record_collection(outcome.copied_words as u64, 0, false, false);
         let pause = start.elapsed();
         self.counters.add_gc_time(pause);
         self.counters.record_gc_pause(pause);
@@ -278,7 +277,7 @@ impl Runtime for SeqRuntime {
     }
 
     fn stats(&self) -> RunStats {
-        self.inner.counters.snapshot(&self.inner.store.stats(), 1)
+        baseline_stats(&self.inner.counters, &self.inner.store, 1, None)
     }
 
     fn reset_stats(&self) {

@@ -10,10 +10,10 @@
 //! hinges on: GC work is serialized and every processor pays for it.
 
 use crate::common::{
-    par_semispace_collect, resolve_tracked, FlatHeap, QuiescentHorizon, RootRegistry, OWNER_GLOBAL,
+    baseline_stats, par_semispace_collect, resolve_tracked, FlatHeap, QuiescentHorizon,
+    RootRegistry, OWNER_GLOBAL,
 };
-use crate::counters::Counters;
-use hh_api::{ParCtx, RunStats, Runtime};
+use hh_api::{Counters, ParCtx, RunStats, Runtime};
 use hh_objmodel::{ChunkStore, Header, ObjKind, ObjPtr};
 use hh_sched::{Pool, Safepoints, Worker};
 use parking_lot::Mutex;
@@ -115,18 +115,12 @@ impl StwInner {
             );
             self.heap
                 .replace_chunks(outcome.new_chunks, outcome.occupied_words);
-            self.counters.gc_count.fetch_add(1, Ordering::Relaxed);
-            if helpers > 0 {
-                self.counters
-                    .gc_parallel_collections
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            self.counters
-                .gc_steal_blocks
-                .fetch_add(outcome.steal_blocks, Ordering::Relaxed);
-            self.counters
-                .gc_copied_words
-                .fetch_add(outcome.copied_words as u64, Ordering::Relaxed);
+            self.counters.record_collection(
+                outcome.copied_words as u64,
+                outcome.steal_blocks,
+                helpers > 0,
+                false,
+            );
             let pause = start.elapsed();
             self.counters.add_gc_time(pause);
             self.counters.record_gc_pause(pause);
@@ -360,12 +354,8 @@ impl Runtime for StwRuntime {
     }
 
     fn stats(&self) -> RunStats {
-        let mut stats = self.inner.counters.snapshot(&self.inner.store.stats(), 1);
-        let sched = self.inner.pool.sched_stats();
-        stats.sched_steals = sched.steals as u64;
-        stats.sched_parks = sched.parks as u64;
-        stats.sched_wakes = sched.wakes as u64;
-        stats
+        let inner = &self.inner;
+        baseline_stats(&inner.counters, &inner.store, 1, Some(&inner.pool))
     }
 
     fn reset_stats(&self) {

@@ -250,13 +250,15 @@ impl Inner {
         self.install_to_spaces(&store, epoch, old_chunks, outcome.per_slot);
 
         // --- Statistics. ---------------------------------------------------------
-        self.record_collection(
-            n_heaps,
-            team,
-            outcome.steal_blocks,
+        let pause = start.elapsed();
+        self.counters.record_collection(
             outcome.copied_words,
-            start.elapsed(),
+            outcome.steal_blocks,
+            team > 1,
+            n_heaps > 1,
         );
+        self.counters.add_gc_time(pause);
+        self.counters.record_gc_pause(pause);
 
         // Debug builds: re-verify disentanglement and forwarding acyclicity over the
         // just-collected zone (the zone is still quiescent — same precondition the
@@ -299,38 +301,5 @@ impl Inner {
                 store.retire_chunk(c);
             }
         }
-    }
-
-    /// Bumps the collection counters and records the pause.
-    pub(crate) fn record_collection(
-        &self,
-        n_heaps: usize,
-        team: usize,
-        steal_blocks: u64,
-        copied_words: u64,
-        pause: std::time::Duration,
-    ) {
-        use std::sync::atomic::Ordering;
-        self.counters.gc_count.fetch_add(1, Ordering::Relaxed);
-        if n_heaps > 1 {
-            self.counters
-                .subtree_collections
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if team > 1 {
-            self.counters
-                .gc_parallel_collections
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if steal_blocks > 0 {
-            self.counters
-                .gc_steal_blocks
-                .fetch_add(steal_blocks, Ordering::Relaxed);
-        }
-        self.counters
-            .gc_copied_words
-            .fetch_add(copied_words, Ordering::Relaxed);
-        self.counters.add_gc_time(pause);
-        self.counters.record_gc_pause(pause);
     }
 }

@@ -150,7 +150,6 @@ impl Inner {
                 *r = fwd(*r);
             }
         });
-        let n_heaps = zone.len();
         self.active_gc_epoch.store(epoch, Ordering::Release);
         *guard = Some(Arc::new(ActiveGc {
             engine,
@@ -162,11 +161,6 @@ impl Inner {
         self.incremental_active.store(true, Ordering::Release);
         drop(guard);
         self.fire_hook(crate::hooks::GcScheduleEvent::WindowStart { epoch });
-        if n_heaps > 1 {
-            self.counters
-                .subtree_collections
-                .fetch_add(1, Ordering::Relaxed);
-        }
         let pause = start.elapsed();
         self.counters.add_gc_time(pause);
         self.counters.record_gc_pause(pause);
@@ -289,7 +283,6 @@ impl Inner {
                 }
                 self.inner.finalize_merge_and_uninstall(self.gc);
                 self.inner
-                    .counters
                     .gc_finalize_rescues
                     .fetch_add(1, Ordering::Relaxed);
             }
@@ -368,18 +361,14 @@ impl Inner {
             *slot = None;
             self.incremental_active.store(false, Ordering::Release);
         }
-        self.counters.gc_count.fetch_add(1, Ordering::Relaxed);
+        // One slot per zone heap: a window over several heaps is a subtree
+        // collection.
+        let subtree = gc.old_chunks.len() > 1;
+        self.counters
+            .record_collection(outcome.copied_words, outcome.steal_blocks, false, subtree);
         self.counters
             .gc_incremental_collections
             .fetch_add(1, Ordering::Relaxed);
-        if outcome.steal_blocks > 0 {
-            self.counters
-                .gc_steal_blocks
-                .fetch_add(outcome.steal_blocks, Ordering::Relaxed);
-        }
-        self.counters
-            .gc_copied_words
-            .fetch_add(outcome.copied_words, Ordering::Relaxed);
         // The debug invariant walk (`verify_heaps`) is deliberately skipped here:
         // it requires a quiescent zone, and at an incremental finalize the zone's
         // mutator is running on another frame (or another thread, for idle-worker

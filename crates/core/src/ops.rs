@@ -259,9 +259,7 @@ impl Inner {
                 self.registry.heap(heap).lock.unlock_shared();
             }
             if buf.capacity() != cap_before {
-                self.counters
-                    .promo_buf_allocs
-                    .fetch_add(1, Ordering::Relaxed);
+                self.promo_buf_allocs.fetch_add(1, Ordering::Relaxed);
             }
             if len <= COPY_BUF_RETAIN_WORDS && buf.capacity() > COPY_BUF_RETAIN_WORDS {
                 buf.clear();
@@ -291,9 +289,6 @@ impl Inner {
             let v = store.view(obj);
             if !v.has_fwd() && self.registry.heap_of(obj) == current_heap {
                 v.set_field(field, ptr.to_bits());
-                self.counters
-                    .fast_ptr_writes
-                    .fetch_add(1, Ordering::Relaxed);
                 return;
             }
         }
@@ -312,17 +307,11 @@ impl Inner {
             // Lines 7–10: the pointee is at the same level or above; write directly.
             store.view(master).set_field(field, ptr.to_bits());
             self.registry.heap(master_heap).lock.unlock_shared();
-            self.counters
-                .slow_ptr_writes
-                .fetch_add(1, Ordering::Relaxed);
             return;
         }
 
         // Lines 11–12: writing would create a down-pointer; promote first.
         self.registry.heap(master_heap).lock.unlock_shared();
-        self.counters
-            .promoting_writes
-            .fetch_add(1, Ordering::Relaxed);
         self.write_promote(master, field, ptr);
     }
 }

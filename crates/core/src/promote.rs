@@ -179,9 +179,7 @@ impl Inner {
             let caps_after =
                 scratch.locked.capacity() + scratch.pending.capacity() + scratch.copies.capacity();
             if caps_after != caps_before {
-                self.counters
-                    .promo_buf_allocs
-                    .fetch_add(1, Ordering::Relaxed);
+                self.promo_buf_allocs.fetch_add(1, Ordering::Relaxed);
             }
         });
     }

@@ -1,13 +1,12 @@
 //! Runtime construction and the [`Runtime`] implementation.
 
 use crate::config::HhConfig;
-use crate::counters::Counters;
 use crate::ctx::HhCtx;
-use hh_api::{RunStats, Runtime};
+use hh_api::{Counters, RunStats, Runtime};
 use hh_heaps::{HeapId, HeapRegistry};
 use hh_objmodel::ChunkStore;
 use hh_sched::Pool;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Shared state of one hierarchical-heap runtime: the heap registry (which owns the
@@ -19,6 +18,25 @@ pub(crate) struct Inner {
     /// Shared with the scheduler's on-steal hook (which must not hold an `Arc<Inner>`,
     /// or the pool would keep its owner alive in a cycle).
     pub(crate) counters: Arc<Counters>,
+    /// Lock-path scratch buffers allocated (or grown) by the promotion machinery.
+    /// After warm-up this stays flat: `write_promote` reuses one per-worker buffer
+    /// set instead of allocating fresh `Vec`s per promotion (regression-tested).
+    /// Like the three diagnostics below it is not part of `RunStats`, and
+    /// `reset_stats` zeroes it.
+    pub(crate) promo_buf_allocs: AtomicU64,
+    /// Runs that ended by unwind (panic, cooperative abort, or injected fault)
+    /// rather than by returning; the teardown guard completed their epoch end.
+    pub(crate) runs_aborted: AtomicU64,
+    /// Incremental finalizes completed by the unwind guard after a schedule
+    /// hook panicked mid-finalize (the injected-crash recovery path).
+    pub(crate) gc_finalize_rescues: AtomicU64,
+    /// Panics raised *inside* `end_run`'s hook-bearing teardown prefix while
+    /// the thread was already unwinding a prior panic — contained (counted,
+    /// not propagated, which would double-panic) after the unconditional
+    /// teardown tail still ran. Expected under fault injection (a hook can
+    /// fire a second fault during the forced finalize); with hooks
+    /// uninstalled, nonzero values indicate a teardown-path bug.
+    pub(crate) teardown_panics: AtomicU64,
     /// The steal gate of the lazy heap policy: every *stolen* branch holds a read
     /// lock for its whole execution, and a task that borrows its heap may collect it
     /// only under `try_write` — i.e. only while no stolen task (which could be
@@ -159,7 +177,7 @@ impl Inner {
 /// the run closure's own panic. Re-raising there would be a double panic
 /// (process abort), so a teardown panic is propagated only when the thread is
 /// not already unwinding; otherwise it is contained and counted
-/// (`Counters::teardown_panics`) and the original panic continues.
+/// (`Inner::teardown_panics`) and the original panic continues.
 struct EndRunGuard<'a> {
     inner: &'a Inner,
     root: HeapId,
@@ -173,10 +191,7 @@ impl Drop for EndRunGuard<'_> {
         if unwinding {
             // The run is ending by unwind (panic, cooperative abort, or
             // injected fault) rather than by returning.
-            self.inner
-                .counters
-                .runs_aborted
-                .fetch_add(1, Ordering::Relaxed);
+            self.inner.runs_aborted.fetch_add(1, Ordering::Relaxed);
         }
         let heaps_after = self.inner.registry.n_heaps();
         let teardown = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -185,10 +200,7 @@ impl Drop for EndRunGuard<'_> {
         }));
         if let Err(payload) = teardown {
             if unwinding {
-                self.inner
-                    .counters
-                    .teardown_panics
-                    .fetch_add(1, Ordering::Relaxed);
+                self.inner.teardown_panics.fetch_add(1, Ordering::Relaxed);
             } else {
                 std::panic::resume_unwind(payload);
             }
@@ -278,6 +290,10 @@ impl HhRuntime {
                 pool,
                 config,
                 counters,
+                promo_buf_allocs: AtomicU64::new(0),
+                runs_aborted: AtomicU64::new(0),
+                gc_finalize_rescues: AtomicU64::new(0),
+                teardown_panics: AtomicU64::new(0),
                 steal_gate: std::sync::RwLock::new(()),
                 incremental_active: std::sync::atomic::AtomicBool::new(false),
                 active_gc: parking_lot::Mutex::new(None),
@@ -375,7 +391,7 @@ impl HhRuntime {
     /// one buffer set per worker thread instead of allocating fresh `Vec`s per
     /// promotion (see `tests/promo_alloc.rs` for the regression test).
     pub fn promo_buffer_allocs(&self) -> u64 {
-        self.inner.counters.promo_buf_allocs.load(Ordering::Relaxed)
+        self.inner.promo_buf_allocs.load(Ordering::Relaxed)
     }
 
     /// Oldest still-active run epoch (the reclamation watermark; epoch-mode
@@ -392,23 +408,20 @@ impl HhRuntime {
     /// Runs that ended by unwind (panic, cooperative abort, or injected fault)
     /// rather than by returning; the teardown guard completed their epoch end.
     pub fn aborted_runs(&self) -> u64 {
-        self.inner.counters.runs_aborted.load(Ordering::Relaxed)
+        self.inner.runs_aborted.load(Ordering::Relaxed)
     }
 
     /// Incremental finalizes completed by the unwind guard after a schedule
     /// hook panicked mid-finalize (injected-crash recovery; see
     /// `crate::incremental`).
     pub fn finalize_rescues(&self) -> u64 {
-        self.inner
-            .counters
-            .gc_finalize_rescues
-            .load(Ordering::Relaxed)
+        self.inner.gc_finalize_rescues.load(Ordering::Relaxed)
     }
 
     /// Teardown-prefix panics contained inside `end_run` while the thread was
-    /// already unwinding (see `Counters::teardown_panics`).
+    /// already unwinding (see `Inner::teardown_panics`).
     pub fn teardown_panics(&self) -> u64 {
-        self.inner.counters.teardown_panics.load(Ordering::Relaxed)
+        self.inner.teardown_panics.load(Ordering::Relaxed)
     }
 
     /// As [`Runtime::run`], with a cancellation token: the
@@ -496,7 +509,16 @@ impl Runtime for HhRuntime {
     }
 
     fn reset_stats(&self) {
-        self.inner.counters.reset();
+        let inner = &self.inner;
+        inner.counters.reset();
+        for diag in [
+            &inner.promo_buf_allocs,
+            &inner.runs_aborted,
+            &inner.gc_finalize_rescues,
+            &inner.teardown_panics,
+        ] {
+            diag.store(0, Ordering::Relaxed);
+        }
     }
 }
 

@@ -402,16 +402,20 @@ mod tests {
                 ..Default::default()
             })
         };
-        // Counters reset at each run's start, so fold the three runs' stats.
+        // Stats accumulate across runs, so reset before each run and fold the
+        // three runs' own stats.
         let run_all = |rt: &HhRuntime| -> ([u64; 3], hh_api::RunStats) {
             let mut total = hh_api::RunStats::default();
             let mut sums = [0u64; 3];
+            rt.reset_stats();
             sums[0] = rt.run(|c| union_find(c, N, 2 * N, 16, SEED));
             total.merge(&rt.stats());
+            rt.reset_stats();
             sums[1] = rt.run(|c| frontier_bfs(c, N, 6, 16, SEED));
             total.merge(&rt.stats());
             // ≥ 1024 ops per task so lru_churn's own safe points (its
             // `maybe_collect` stride) actually fire under the tiny threshold.
+            rt.reset_stats();
             sums[2] = rt.run(|c| lru_churn(c, 4, 2048, 16, 256, SEED));
             total.merge(&rt.stats());
             (sums, total)

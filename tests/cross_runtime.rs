@@ -2,9 +2,11 @@
 //! runtimes through the public facade, checking agreement, disentanglement, and the
 //! headline qualitative results of the paper.
 
+use hierheap::lowlevel::Header;
 use hierheap::workloads::suite::{run_timed, BenchId, Params};
 use hierheap::{
-    hash64, DlgRuntime, HhConfig, HhRuntime, ObjPtr, ParCtx, Rng, Runtime, SeqRuntime, StwRuntime,
+    hash64, DlgRuntime, HhConfig, HhRuntime, ObjKind, ObjPtr, ParCtx, Rng, Runtime, SeqRuntime,
+    StwRuntime,
 };
 
 fn tiny() -> Params {
@@ -217,6 +219,63 @@ fn collections_happen_under_pressure_and_results_survive() {
         hh.stats().gc_count > 0,
         "msort-pure with a small threshold must collect leaf heaps"
     );
+}
+
+/// Builds a pinned list of `cells` reference cells, then allocates garbage up to
+/// `threshold` words in total without reaching a safe point, then polls one.
+/// Returns the list's words: the survivors of the one collection that poll runs.
+fn one_collection<C: ParCtx>(ctx: &C, cells: usize, threshold: usize) -> u64 {
+    let cell_words = Header::new(1, 1, ObjKind::Ref).size_words();
+    let mut head = ObjPtr::NULL;
+    for _ in 0..cells {
+        head = ctx.alloc_ref_ptr(head);
+    }
+    ctx.pin(head);
+    let mut words = cells * cell_words;
+    while words < threshold {
+        ctx.alloc_data_array(8);
+        words += Header::new(8, 0, ObjKind::ArrayData).size_words();
+    }
+    ctx.maybe_collect();
+    let mut len = 0;
+    let mut cur = ctx.read_mut_ptr(head, 0);
+    while !cur.is_null() {
+        len += 1;
+        cur = ctx.read_mut_ptr(cur, 0);
+    }
+    assert_eq!(len + 1, cells, "the pinned list must survive");
+    ctx.unpin(head);
+    (cells * cell_words) as u64
+}
+
+/// One forced collection books the same statistics on every runtime: one
+/// collection, one pause sample, some GC time, and exactly the survivors' words
+/// copied — plus the heap count and stop-the-world pauses each runtime reports.
+#[test]
+fn one_collection_books_the_same_stats_on_every_runtime() {
+    const THRESHOLD: usize = 4096;
+    fn check<R: Runtime>(rt: R, heaps: u64, world_stops: u64) {
+        let survivors = rt.run(|c| one_collection(c, 50, THRESHOLD));
+        let (s, name) = (rt.stats(), rt.name());
+        assert_eq!((s.gc_count, s.gc_pause_count), (1, 1), "{name}: {s:?}");
+        assert!(s.gc_time > std::time::Duration::ZERO, "{name}: {s:?}");
+        assert_eq!(s.gc_copied_words, survivors, "{name}: {s:?}");
+        assert_eq!(
+            (s.heaps_created, s.world_stops),
+            (heaps, world_stops),
+            "{name}"
+        );
+    }
+    check(SeqRuntime::with_params(1024, THRESHOLD, true), 1, 0);
+    check(StwRuntime::with_params(2, 1024, THRESHOLD, true), 1, 1);
+    check(DlgRuntime::with_params(2, 1024, THRESHOLD, true), 3, 1);
+    let hh = HhRuntime::new(HhConfig {
+        n_workers: 2,
+        chunk_words: 1024,
+        gc_threshold_words: THRESHOLD,
+        ..Default::default()
+    });
+    check(hh, 1, 0);
 }
 
 // ---------------------------------------------------------------------------
