@@ -260,7 +260,7 @@ stats_table! {
         /// Words currently parked on the store's free lists and allocation caches
         /// (gauge, at snapshot time).
         free_words = max <- free_words,
-        /// Quarantined chunks moved out of quarantine (freed or released) by the
+        /// Quarantined chunks moved out of quarantine to the free lists by the
         /// epoch watermark — i.e. reclaimed because every run whose epoch could hold
         /// a stale pointer into them had ended, without waiting for global quiescence
         /// (not reset).
@@ -612,15 +612,14 @@ mod tests {
             chunks_created: 5,
             chunks_retired: 6,
             chunks_recycled: 7,
-            chunks_released: 8,
-            chunks_active: 9,
-            chunks_quarantined: 10,
-            chunks_free: 11,
-            alloc_cache_hits: 12,
-            epoch_reclaims: 13,
-            active_runs: 14,
-            active_runs_peak: 15,
-            quarantined_words: 16,
+            chunks_active: 8,
+            chunks_quarantined: 9,
+            chunks_free: 10,
+            alloc_cache_hits: 11,
+            epoch_reclaims: 12,
+            active_runs: 13,
+            active_runs_peak: 14,
+            quarantined_words: 15,
         };
         let s = Counters::default().snapshot(&store);
         let sources = store_sources(&store);
@@ -629,7 +628,7 @@ mod tests {
             assert_eq!(row(&s, name), want, "{name}");
         }
         assert_eq!(s.peak_live_words, 2);
-        assert_eq!(s.quarantine_lag_words, 16);
+        assert_eq!(s.quarantine_lag_words, 15);
         for (name, _) in Counters::default().counted() {
             assert_eq!(row(&s, name), 0, "store moved counted row {name}");
         }

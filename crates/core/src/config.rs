@@ -32,13 +32,6 @@ pub struct HhConfig {
     /// Enable the fast path of `writePtr` (skip master lookup and depth comparison when
     /// the object is in the current task's heap and has no forwarding pointer).
     pub enable_write_ptr_fast_path: bool,
-    /// Cap, in words, on the chunk store's free pool (memory v2).
-    ///
-    /// Chunks retired by collections flow back to the allocator through size-classed
-    /// free lists once they pass the reuse horizon (see DESIGN.md §5). When the free
-    /// pool would exceed this many words, the excess chunks are released instead of
-    /// kept for reuse, bounding the runtime's resident footprint between bursts.
-    pub max_free_words: usize,
     /// Run the debug-build invariant checker (promotion v2).
     ///
     /// When enabled **and** the build has `debug_assertions`, the runtime verifies
@@ -105,7 +98,6 @@ impl Default for HhConfig {
             enable_gc: true,
             enable_read_write_fast_path: true,
             enable_write_ptr_fast_path: true,
-            max_free_words: 64 * 1024 * 1024, // 512 MiB of reusable chunk memory
             check_invariants: cfg!(debug_assertions),
             server_mode: false,
             incremental_gc: false,
@@ -150,7 +142,6 @@ mod tests {
         assert!(c.n_workers >= 1);
         assert!(c.chunk_words >= 16);
         assert!(c.gc_threshold_words > c.chunk_words);
-        assert!(c.max_free_words > c.gc_threshold_words);
         assert!(c.enable_gc && c.enable_read_write_fast_path && c.enable_write_ptr_fast_path);
         assert_eq!(c.gc_workers, 0, "default GC team = pool size");
         assert!(

@@ -271,7 +271,6 @@ impl HhRuntime {
     /// Creates a runtime from a configuration.
     pub fn new(config: HhConfig) -> HhRuntime {
         let store = Arc::new(ChunkStore::new(config.chunk_words));
-        store.set_max_free_words(config.max_free_words);
         let registry = HeapRegistry::new(store);
         let pool = Pool::new(config.n_workers);
         let counters = Arc::new(Counters::default());

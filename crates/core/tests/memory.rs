@@ -12,7 +12,6 @@ fn churn_runtime(workers: usize) -> HhRuntime {
         n_workers: workers,
         chunk_words: 256,
         gc_threshold_words: 8 * 1024,
-        max_free_words: 1 << 30,
         ..Default::default()
     })
 }
@@ -90,35 +89,41 @@ fn chunk_lifecycle_is_conserved_across_runs() {
         let s = rt.store_stats();
         assert_eq!(
             s.chunks_created,
-            s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+            s.chunks_active + s.chunks_quarantined + s.chunks_free,
             "conservation violated after round {round}: {s:?}"
         );
     }
 }
 
-/// `max_free_words` bounds the recyclable pool: with a tiny cap, reclaimed chunks are
-/// released instead of parked for reuse.
+/// Repeated identical runs reach a chunk fixed point: once warm, every chunk a run
+/// needs — default-sized or a dedicated one for an array larger than `chunk_words` —
+/// comes off the free lists, so the store stops minting while recycling goes on.
 #[test]
-fn free_pool_cap_releases_excess_buffers() {
-    let rt = HhRuntime::new(HhConfig {
-        n_workers: 1,
-        chunk_words: 256,
-        gc_threshold_words: 8 * 1024,
-        max_free_words: 512, // at most two 256-word chunks stay reusable
-        ..Default::default()
-    });
-    for _ in 0..4 {
-        rt.run(|ctx| churn(ctx, 80));
+fn repeated_runs_reach_a_chunk_fixed_point() {
+    let rt = churn_runtime(1);
+    let expected: u64 = (0..64).sum();
+    let run = || {
+        rt.run(|ctx| {
+            let big = ctx.alloc_data_array(4 * 256);
+            ctx.write_nonptr(big, 0, 1);
+            churn(ctx, 80)
+        })
+    };
+    for _ in 0..3 {
+        assert_eq!(run(), expected);
+    }
+    let warm = rt.store_stats();
+    for _ in 0..8 {
+        assert_eq!(run(), expected);
     }
     let s = rt.store_stats();
-    assert!(
-        s.chunks_released > 0,
-        "the free-pool cap must release excess buffers: {s:?}"
+    assert_eq!(
+        s.chunks_created, warm.chunks_created,
+        "a warm runtime must not mint: warm {warm:?}, final {s:?}"
     );
     assert!(
-        s.free_words <= 512,
-        "free pool exceeded its cap: {} words",
-        s.free_words
+        s.chunks_recycled > warm.chunks_recycled,
+        "warm runs must be served by recycling: warm {warm:?}, final {s:?}"
     );
 }
 
@@ -230,7 +235,7 @@ fn panicking_run_does_not_disable_recycling() {
     let store = rt.store_stats();
     assert_eq!(
         store.chunks_created,
-        store.chunks_active + store.chunks_quarantined + store.chunks_free + store.chunks_released,
+        store.chunks_active + store.chunks_quarantined + store.chunks_free,
         "conservation must survive a panicked run: {store:?}"
     );
 }

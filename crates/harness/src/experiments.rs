@@ -2,7 +2,7 @@
 
 use crate::measure::{measure, measure_on, measure_parmem_with_config, Measurement, RuntimeKind};
 use crate::table::{megabytes, percent, ratio, secs, Table};
-use hh_api::{ObjKind, ParCtx, Runtime};
+use hh_api::{ObjKind, ParCtx, RunStats, Runtime};
 use hh_baselines::{DlgRuntime, SeqRuntime, StwRuntime};
 use hh_objmodel::ObjPtr;
 use hh_runtime::{HhConfig, HhRuntime};
@@ -464,10 +464,19 @@ pub fn sched_counters(cfg: ExpConfig) -> Table {
 /// Each benchmark runs **twice on one runtime**: the reuse horizon passes between
 /// runs (a completed run's heap tree is disposed of and its chunks reclaimed when the
 /// next run begins, DESIGN.md §5), so the second run's chunk demand is served from
-/// the free lists. The table reports the state after the second run; `recycle%` is
-/// the fraction of all chunks ever handed out that were reused buffers.
+/// the free lists. The table reports the state after the second run; `minted` is the
+/// number of chunks the second run created anyway (0 in a true steady state), and
+/// `recycle%` is the fraction of all chunks ever handed out that were reused buffers.
 pub fn mem_lifecycle(cfg: ExpConfig) -> Table {
     mem_lifecycle_for(cfg, &BenchId::ALL)
+}
+
+/// Runs `bench` twice on `rt`: the second run's stats and the chunks it minted.
+fn twice<R: Runtime>(rt: &R, bench: BenchId, params: Params, workers: usize) -> (RunStats, u64) {
+    let first = measure_on(rt, bench, params, workers).stats;
+    let second = measure_on(rt, bench, params, workers).stats;
+    let minted = second.chunks_created - first.chunks_created;
+    (second, minted)
 }
 
 fn mem_lifecycle_for(cfg: ExpConfig, benches: &[BenchId]) -> Table {
@@ -479,6 +488,7 @@ fn mem_lifecycle_for(cfg: ExpConfig, benches: &[BenchId]) -> Table {
             "peak",
             "live",
             "free",
+            "minted",
             "recycled",
             "recycle%",
             "cache hits",
@@ -494,35 +504,34 @@ fn mem_lifecycle_for(cfg: ExpConfig, benches: &[BenchId]) -> Table {
             RuntimeKind::Dlg,
             RuntimeKind::Parmem,
         ] {
-            let m = match kind {
-                RuntimeKind::Seq => {
-                    let rt = SeqRuntime::new();
-                    measure_on(&rt, bench, params, 1);
-                    measure_on(&rt, bench, params, 1)
-                }
-                RuntimeKind::Stw => {
-                    let rt = StwRuntime::with_workers(cfg.procs);
-                    measure_on(&rt, bench, params, cfg.procs);
-                    measure_on(&rt, bench, params, cfg.procs)
-                }
-                RuntimeKind::Dlg => {
-                    let rt = DlgRuntime::with_workers(cfg.procs);
-                    measure_on(&rt, bench, params, cfg.procs);
-                    measure_on(&rt, bench, params, cfg.procs)
-                }
-                RuntimeKind::Parmem => {
-                    let rt = HhRuntime::new(HhConfig::with_workers(cfg.procs));
-                    measure_on(&rt, bench, params, cfg.procs);
-                    measure_on(&rt, bench, params, cfg.procs)
-                }
+            let (s, minted) = match kind {
+                RuntimeKind::Seq => twice(&SeqRuntime::new(), bench, params, 1),
+                RuntimeKind::Stw => twice(
+                    &StwRuntime::with_workers(cfg.procs),
+                    bench,
+                    params,
+                    cfg.procs,
+                ),
+                RuntimeKind::Dlg => twice(
+                    &DlgRuntime::with_workers(cfg.procs),
+                    bench,
+                    params,
+                    cfg.procs,
+                ),
+                RuntimeKind::Parmem => twice(
+                    &HhRuntime::new(HhConfig::with_workers(cfg.procs)),
+                    bench,
+                    params,
+                    cfg.procs,
+                ),
             };
-            let s = &m.stats;
             table.row(vec![
                 bench.name().to_string(),
                 kind.short().to_string(),
                 kwords(s.peak_live_words),
                 kwords(s.live_words),
                 kwords(s.free_words),
+                minted.to_string(),
                 s.chunks_recycled.to_string(),
                 percent(s.recycle_rate()),
                 s.alloc_cache_hits.to_string(),
@@ -1091,13 +1100,14 @@ mod tests {
         assert_eq!(t.n_rows(), 2 * 4);
         let rendered = t.render();
         // Every runtime reuses chunk memory on its second run: the recycled column
-        // (index 5) must be positive on each data row.
+        // (index 6) must be positive on each data row.
         for line in rendered.lines().skip(3) {
             let toks: Vec<&str> = line.split_whitespace().collect();
             if toks.is_empty() {
                 continue;
             }
-            let recycled: u64 = toks[5].parse().expect("recycled column");
+            let _minted: u64 = toks[5].parse().expect("minted column");
+            let recycled: u64 = toks[6].parse().expect("recycled column");
             assert!(
                 recycled > 0,
                 "{} on {}: no chunks recycled across runs",

@@ -8,12 +8,10 @@
 //!
 //! ## Chunk lifecycle
 //!
-//! A chunk moves through four states (see DESIGN.md §5 for the full story):
+//! A chunk moves through three states (see DESIGN.md §5 for the full story):
 //!
 //! ```text
 //! fresh ──mint──▶ active ──retire──▶ quarantined ──reclaim──▶ free ──reuse──▶ active
-//!                                                    │
-//!                                                    └──(over max_free_words)──▶ released
 //! ```
 //!
 //! * **active**: owned by a heap, counted in `live_words`.
@@ -26,11 +24,11 @@
 //!   ([`ChunkStore::reclaim_watermark`], called at every run dispose) or globally at
 //!   quiescence ([`ChunkStore::reclaim_retired`]) — parked on a size-classed
 //!   lock-free free list and counted in `free_words`.
-//! * **released**: the free pool exceeded [`ChunkStore::set_max_free_words`]; the chunk is
-//!   dropped from all accounting, modelling a buffer returned to the OS. (The backing
-//!   allocation itself stays in the table because `ObjPtr` resolution requires the
-//!   id → chunk mapping to be stable; release is an accounting notion, exactly like
-//!   retirement.)
+//!
+//! Every reclaimed chunk is parked; none is ever dropped. `ObjPtr` resolution needs
+//! the id → chunk table to be stable, so no buffer can go back to the OS, and a
+//! parked chunk is the only way its memory is ever used again. The store's footprint
+//! is therefore the peak demand per size class, and the table never shrinks.
 //!
 //! Reuse re-tags the chunk with its new owner, zeroes the previously used words, and
 //! advances the chunk's *generation* so stale pointers from before the reuse are
@@ -84,9 +82,6 @@ pub struct StoreStats {
     pub chunks_retired: usize,
     /// Number of times a free chunk was reused for a new owner (monotone).
     pub chunks_recycled: usize,
-    /// Number of chunks whose buffers were released because the free pool exceeded
-    /// its cap (terminal state).
-    pub chunks_released: usize,
     /// Chunks currently owned by heaps.
     pub chunks_active: usize,
     /// Chunks retired but not yet past the reuse horizon.
@@ -95,7 +90,7 @@ pub struct StoreStats {
     pub chunks_free: usize,
     /// Default-sized chunk requests served directly from a per-thread cache.
     pub alloc_cache_hits: usize,
-    /// Chunks whose quarantine exit (to the free lists or release) was driven by the
+    /// Chunks whose quarantine exit (to the free lists) was driven by the
     /// epoch watermark ([`ChunkStore::reclaim_watermark`]) rather than by global
     /// quiescence.
     pub epoch_reclaims: usize,
@@ -190,8 +185,6 @@ pub struct ChunkStore {
     run_epochs: RunEpochs,
     /// Per-thread stashes of default-class chunks (see module docs).
     shards: Box<[CacheShard]>,
-    /// Cap on `free_words`: reclaimed chunks beyond it are released instead of reused.
-    max_free_words: AtomicUsize,
     /// Source of collection epochs (see [`Chunk::gc_state`]): each collection draws a
     /// fresh epoch, so concurrent collections of disjoint zones never confuse each
     /// other's chunk tags and tags never need clearing.
@@ -204,7 +197,6 @@ pub struct ChunkStore {
     free_words: AtomicUsize,
     chunks_retired: AtomicUsize,
     chunks_recycled: AtomicUsize,
-    chunks_released: AtomicUsize,
     chunks_active: AtomicUsize,
     chunks_quarantined: AtomicUsize,
     chunks_free: AtomicUsize,
@@ -229,7 +221,6 @@ impl ChunkStore {
             quarantine: parking_lot::Mutex::new(Vec::new()),
             run_epochs: RunEpochs::new(),
             shards: (0..N_SHARDS).map(|_| CacheShard::default()).collect(),
-            max_free_words: AtomicUsize::new(usize::MAX),
             gc_epochs: AtomicU64::new(0),
             live_words: AtomicUsize::new(0),
             peak_words: AtomicUsize::new(0),
@@ -237,7 +228,6 @@ impl ChunkStore {
             free_words: AtomicUsize::new(0),
             chunks_retired: AtomicUsize::new(0),
             chunks_recycled: AtomicUsize::new(0),
-            chunks_released: AtomicUsize::new(0),
             chunks_active: AtomicUsize::new(0),
             chunks_quarantined: AtomicUsize::new(0),
             chunks_free: AtomicUsize::new(0),
@@ -263,13 +253,6 @@ impl ChunkStore {
     /// The default chunk capacity in words.
     pub fn default_chunk_words(&self) -> usize {
         self.default_chunk_words
-    }
-
-    /// Sets the cap on the free pool: when [`ChunkStore::reclaim_retired`] would push
-    /// `free_words` beyond this, the excess chunks are released instead of kept for
-    /// reuse. Defaults to unlimited.
-    pub fn set_max_free_words(&self, words: usize) {
-        self.max_free_words.store(words, Ordering::Relaxed);
     }
 
     /// Size class of a chunk of `capacity` words (see [`N_CLASSES`]).
@@ -387,15 +370,9 @@ impl ChunkStore {
             }
             if batch.is_empty() {
                 let n = self.default_chunk_words;
-                // The cache never stashes more than the configured retention pool:
-                // `batch - 1` chunks stay behind as free words after one is handed
-                // out, so the batch shrinks when `max_free_words` is small (down to
-                // 1, i.e. no caching at all).
-                let limit = self.max_free_words.load(Ordering::Relaxed);
-                let batch_size = (limit / n).saturating_add(1).clamp(1, REFILL_BATCH);
                 let minted = {
                     let _guard = self.alloc_lock.lock();
-                    (0..batch_size)
+                    (0..REFILL_BATCH)
                         .map(|_| self.mint_locked(crate::chunk::RAW_HEAP_NONE, n))
                         .collect::<Vec<_>>()
                 };
@@ -509,33 +486,22 @@ impl ChunkStore {
         }
     }
 
-    /// Moves one reclaimed chunk out of quarantine accounting and onto its free list,
-    /// or releases it when the free pool is over `cap_limit`. Returns `true` if the
-    /// chunk was parked for reuse.
-    fn park_or_release(&self, id: ChunkId, cap_limit: usize) -> bool {
+    /// Moves one reclaimed chunk out of quarantine accounting and onto the free list
+    /// of its size class.
+    fn park(&self, id: ChunkId) {
         let chunk = self.chunk(id);
         debug_assert!(chunk.is_retired(), "quarantine holds a non-retired chunk");
         let cap = chunk.capacity();
         self.chunks_quarantined.fetch_sub(1, Ordering::Relaxed);
         self.quarantined_words.fetch_sub(cap, Ordering::Relaxed);
-        if self.free_words.load(Ordering::Relaxed) + cap <= cap_limit {
-            self.free_words.fetch_add(cap, Ordering::Relaxed);
-            self.chunks_free.fetch_add(1, Ordering::Relaxed);
-            self.free[self.class_of(cap)].push(&self.chunks, id);
-            true
-        } else {
-            // Over the cap: model returning the buffer to the OS. The chunk stays
-            // in the table (ObjPtr resolution needs id stability) but leaves all
-            // accounting for good.
-            self.chunks_released.fetch_add(1, Ordering::Relaxed);
-            false
-        }
+        self.free_words.fetch_add(cap, Ordering::Relaxed);
+        self.chunks_free.fetch_add(1, Ordering::Relaxed);
+        self.free[self.class_of(cap)].push(&self.chunks, id);
     }
 
     /// Moves every quarantined chunk whose reuse horizon has passed — its
     /// `retired_at` stamp is strictly below the min-active-epoch watermark — to the
-    /// free lists (or releases it over the free-pool cap). Returns the number of
-    /// chunks made reusable.
+    /// free lists. Returns the number of chunks made reusable.
     ///
     /// This is the quiescence-free reclaim: runtimes call it at every run dispose,
     /// so one run's chunks recycle while other runs are still mid-flight. Soundness:
@@ -544,7 +510,6 @@ impl ChunkStore {
     /// run's epoch, so `retired_at < min_active` means every such task is gone.
     pub fn reclaim_watermark(&self) -> usize {
         let min_active = self.run_epochs.min_active();
-        let cap_limit = self.max_free_words.load(Ordering::Relaxed);
         let eligible: Vec<ChunkId> = {
             let mut q = self.quarantine.lock();
             let mut keep = Vec::with_capacity(q.len());
@@ -559,18 +524,15 @@ impl ChunkStore {
             *q = keep;
             take
         };
-        let mut freed = 0;
-        for id in eligible {
-            if self.park_or_release(id, cap_limit) {
-                freed += 1;
-            }
-            self.epoch_reclaims.fetch_add(1, Ordering::Relaxed);
+        for &id in &eligible {
+            self.park(id);
         }
-        freed
+        self.epoch_reclaims
+            .fetch_add(eligible.len(), Ordering::Relaxed);
+        eligible.len()
     }
 
-    /// Moves every quarantined chunk to the free lists (or releases it once the free
-    /// pool exceeds [`ChunkStore::set_max_free_words`]), making the memory retired by
+    /// Moves every quarantined chunk to the free lists, making the memory retired by
     /// past collections available for reuse. This is the **global** horizon — the
     /// degenerate single-run case of [`ChunkStore::reclaim_watermark`], used by the
     /// baseline runtimes; it additionally flushes the per-thread allocation caches,
@@ -585,33 +547,23 @@ impl ChunkStore {
     /// this between runs, when no task is live. Returns the number of chunks moved
     /// to the free lists.
     pub fn reclaim_retired(&self) -> usize {
-        let cap_limit = self.max_free_words.load(Ordering::Relaxed);
-        // First pass every per-thread stash through the cap: the horizon is a
+        // First flush every per-thread stash to the free lists: the horizon is a
         // quiescent point, and flushing prevents chunks from being stranded in the
         // cache of a thread that stops allocating. Stash chunks are already in the
-        // free state, so over-cap ones move free → released.
+        // free state, so only their list membership changes.
         for shard in self.shards.iter() {
             for id in shard.ids.lock().drain(..) {
                 let cap = self.chunk(id).capacity();
-                if self.free_words.load(Ordering::Relaxed) <= cap_limit {
-                    self.free[self.class_of(cap)].push(&self.chunks, id);
-                } else {
-                    self.free_words.fetch_sub(cap, Ordering::Relaxed);
-                    self.chunks_free.fetch_sub(1, Ordering::Relaxed);
-                    self.chunks_released.fetch_add(1, Ordering::Relaxed);
-                }
+                self.free[self.class_of(cap)].push(&self.chunks, id);
             }
         }
         // The quarantine is drained *after* the stashes, so freshly retired chunks
         // sit on top of the LIFO free stacks and are the first ones reused.
         let drained: Vec<(ChunkId, u64)> = std::mem::take(&mut *self.quarantine.lock());
-        let mut freed = 0;
-        for (id, _retired_at) in drained {
-            if self.park_or_release(id, cap_limit) {
-                freed += 1;
-            }
+        for &(id, _retired_at) in &drained {
+            self.park(id);
         }
-        freed
+        drained.len()
     }
 
     /// Resolves an object pointer to a view of the object.
@@ -671,7 +623,6 @@ impl ChunkStore {
             chunks_created: self.chunks.len(),
             chunks_retired: self.chunks_retired.load(Ordering::Relaxed),
             chunks_recycled: self.chunks_recycled.load(Ordering::Relaxed),
-            chunks_released: self.chunks_released.load(Ordering::Relaxed),
             chunks_active: self.chunks_active.load(Ordering::Relaxed),
             chunks_quarantined: self.chunks_quarantined.load(Ordering::Relaxed),
             chunks_free: self.chunks_free.load(Ordering::Relaxed),
@@ -799,7 +750,7 @@ mod tests {
         assert_eq!(all.len(), 8 * 200, "chunk ids must be unique");
     }
 
-    // -- lifecycle: recycling, caches, release, conservation -------------------
+    // -- lifecycle: recycling, caches, conservation -----------------------------
 
     /// Keeps allocating until the calling thread's cache (pre-filled by batched
     /// minting) is empty, so the next allocation must consult the free lists.
@@ -843,18 +794,35 @@ mod tests {
         assert_eq!(s.live_words, 128 * REFILL_BATCH);
     }
 
+    /// Every reclaimed chunk is parked, however large the free pool grows: two
+    /// retired chunks of one oversized class serve the next two identical requests,
+    /// and neither request mints.
     #[test]
-    fn reclaim_releases_beyond_the_free_cap() {
-        let store = ChunkStore::new(100);
-        store.set_max_free_words(150); // room for one 100-word chunk, not two
-        let held = drain_cache(&store); // cache empty, free_words == 0
-        store.retire_chunk(held[0].id());
-        store.retire_chunk(held[1].id());
-        assert_eq!(store.reclaim_retired(), 1);
+    fn reclaimed_oversized_chunks_are_all_reused_without_a_mint() {
+        let store = ChunkStore::new(64);
+        let a = store.alloc_chunk(1, 1_000);
+        let b = store.alloc_chunk(1, 1_000);
+        store.retire_chunk(a.id());
+        store.retire_chunk(b.id());
+        assert_eq!(store.reclaim_retired(), 2);
         let s = store.stats();
-        assert_eq!(s.chunks_free, 1);
-        assert_eq!(s.chunks_released, 1);
-        assert_eq!(s.free_words, 100);
+        assert_eq!(s.chunks_free, 2);
+        assert_eq!(s.free_words, a.capacity() + b.capacity());
+
+        let created = s.chunks_created;
+        let mut reused = [
+            store.alloc_chunk(2, 1_000).id(),
+            store.alloc_chunk(2, 1_000).id(),
+        ];
+        reused.sort_unstable();
+        let mut retired = [a.id(), b.id()];
+        retired.sort_unstable();
+        assert_eq!(reused, retired, "both retired chunks must be reused");
+        let s = store.stats();
+        assert_eq!(s.chunks_created, created, "no chunk may be minted");
+        assert_eq!(s.chunks_recycled, 2);
+        assert_eq!(s.chunks_free, 0);
+        assert_eq!(s.free_words, 0);
     }
 
     #[test]
@@ -893,7 +861,7 @@ mod tests {
         assert_eq!(again.owner(), 3);
     }
 
-    /// chunks_created == active + quarantined + free + released at **every** point of
+    /// chunks_created == active + quarantined + free at **every** point of
     /// a randomized interleaving — including mid-overlap, while several run epochs
     /// are active and the watermark reclaims some runs' chunks but not others'.
     #[test]
@@ -908,7 +876,6 @@ mod tests {
             state >> 11
         };
         let store = ChunkStore::new(64);
-        store.set_max_free_words(64 * 8);
         let mut owned: Vec<(ChunkId, u64)> = Vec::new();
         // Simulated overlapping runs: epochs currently active.
         let mut runs: Vec<u64> = Vec::new();
@@ -979,16 +946,12 @@ mod tests {
             let s = store.stats();
             assert_eq!(
                 s.chunks_created,
-                s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released,
+                s.chunks_active + s.chunks_quarantined + s.chunks_free,
                 "conservation violated at step {step}: {s:?}"
             );
             assert_eq!(s.chunks_active, owned.len(), "active count at step {step}");
         }
         assert!(store.stats().chunks_recycled > 0, "recycling must occur");
-        assert!(
-            store.stats().chunks_released > 0,
-            "release cap must trigger"
-        );
         assert!(
             store.stats().epoch_reclaims > 0,
             "watermark reclaim must trigger mid-overlap"

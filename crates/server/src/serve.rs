@@ -542,7 +542,7 @@ impl QuiescenceViolation {
 
 /// Post-serve invariant check for the hierarchical runtime: with the server
 /// quiescent, the chunk lifecycle must conserve
-/// (`created == active + quarantined + free + released`) and every live heap must
+/// (`created == active + quarantined + free`) and every live heap must
 /// be disentangled. Returns the first violation with full forensics.
 pub fn verify_quiescent(rt: &hh_runtime::HhRuntime) -> Result<(), QuiescenceViolation> {
     let plain = |reason: String| QuiescenceViolation {
@@ -550,11 +550,11 @@ pub fn verify_quiescent(rt: &hh_runtime::HhRuntime) -> Result<(), QuiescenceViol
         disentanglement: None,
     };
     let s = rt.store_stats();
-    let accounted = s.chunks_active + s.chunks_quarantined + s.chunks_free + s.chunks_released;
+    let accounted = s.chunks_active + s.chunks_quarantined + s.chunks_free;
     if s.chunks_created != accounted {
         return Err(plain(format!(
-            "chunk conservation violated: created {} != active {} + quarantined {} + free {} + released {}",
-            s.chunks_created, s.chunks_active, s.chunks_quarantined, s.chunks_free, s.chunks_released
+            "chunk conservation violated: created {} != active {} + quarantined {} + free {}",
+            s.chunks_created, s.chunks_active, s.chunks_quarantined, s.chunks_free
         )));
     }
     if s.active_runs != 0 {
